@@ -32,7 +32,7 @@ from pathlib import Path  # noqa: E402
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
-SETUP_PROBES = 3
+SETUP_PROBES = 9
 
 
 def _import_library():
@@ -61,23 +61,20 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
-def measure_setup(args) -> float:
-    """Median time from process start until the first op could begin.
+def probe_setup(args) -> float:
+    """Time from process start until the first op could begin.
 
-    Each probe is a fresh interpreter that imports ovwave, numpy and scipy
+    The probe is a fresh interpreter that imports ovwave, numpy and scipy
     and generates the inputs, then reports the monotonic clock, which is
     shared between processes.
     """
-    samples = []
-    for _ in range(SETUP_PROBES):
-        start = time.monotonic_ns()
-        proc = subprocess.run(
-            [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
-             "--workload", args.workload, "--seed", str(args.seed), "--seconds", "0"],
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        samples.append((int(proc.stdout.split()[-1]) - start) / 1e9)
-    return statistics.median(samples)
+    start = time.monotonic_ns()
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
+         "--workload", args.workload, "--seed", str(args.seed), "--seconds", "0"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return (int(proc.stdout.split()[-1]) - start) / 1e9
 
 
 def run(args, workloads):
@@ -87,7 +84,6 @@ def run(args, workloads):
         print(time.monotonic_ns())
         return None
 
-    setup_s = measure_setup(args) if not args.trace else None
     tracer = None
     if args.trace:
         import tracing
@@ -99,7 +95,8 @@ def run(args, workloads):
     out_dir = out_root / f"{args.workload}-{args.seed}-{os.getpid()}"
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = workloads.Context(out_dir, tracer)
-    times, ok_idx, problems, reported = [], [], [], set()
+    times, ok_idx, problems, reported, setup = [], [], [], set(), []
+    n_probes = 0 if args.trace else SETUP_PROBES
     attempted = failed = 0
     timed = 0.0
     gc.collect()
@@ -107,6 +104,10 @@ def run(args, workloads):
     try:
         while timed < args.seconds or attempted == 0:
             for inp in inputs:
+                # the set-up probes are spread over the timed phase, between
+                # ops, since the machine's speed drifts over tens of seconds
+                while len(setup) < n_probes and len(setup) * args.seconds <= n_probes * timed:
+                    setup.append(probe_setup(args))
                 gc.collect()
                 if tracer:
                     tracer.begin_op()
@@ -136,6 +137,8 @@ def run(args, workloads):
                 except Exception as exc:  # an output the checks cannot read is wrong
                     traceback.print_exception(exc, file=sys.stderr)
                     problems.append(f"op {inp['k']}: check raised {exc!r}")
+        while len(setup) < n_probes:
+            setup.append(probe_setup(args))
     finally:
         if tracer:
             tracer.uninstall()
@@ -152,7 +155,7 @@ def run(args, workloads):
                      {"workload": args.workload, "seed": args.seed})
     else:
         metrics = {
-            "setup_s": (setup_s, "s"),
+            "setup_s": (statistics.median(setup), "s"),
             "op_p50_ms": (1e3 * statistics.median(ok_times), "ms"),
             "ops_per_s": (len(ok_idx) / timed, "1/s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),

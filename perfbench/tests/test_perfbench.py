@@ -1,7 +1,7 @@
 """Tests of the benchmark itself; run with ``python3 -m pytest perfbench/tests``.
 
-A short round of each workload must pass its checks, and each check must
-reject a corrupted result.
+One round of each workload, as the benchmark runs it, must pass its checks,
+and each check must reject a corrupted result.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import reference as ref  # noqa: E402
 import workloads as W  # noqa: E402
 
 
-def _short_round(name, tmp_path, seed=0):
+def _round(name, tmp_path, seed=0):
     workload = W.WORKLOADS[name]
     ctx = W.Context(tmp_path)
     done = []
-    for inp in workload.make_inputs(seed, short=True):
+    for inp in workload.make_inputs(seed):
         try:
             done.append((inp, workload.op(inp, ctx)))
         except ow.ConsistencyError:
@@ -40,21 +40,21 @@ def _short_round(name, tmp_path, seed=0):
 
 @pytest.fixture(scope="module")
 def delay(tmp_path_factory):
-    return _short_round("delay_limit_cycle", tmp_path_factory.mktemp("delay"))
+    return _round("delay_limit_cycle", tmp_path_factory.mktemp("delay"))
 
 
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
-    return _short_round("stability_sweep", tmp_path_factory.mktemp("sweep"))
+    return _round("stability_sweep", tmp_path_factory.mktemp("sweep"))
 
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
-    return _short_round("chain_export", tmp_path_factory.mktemp("chain"))
+    return _round("chain_export", tmp_path_factory.mktemp("chain"))
 
 
 @pytest.mark.parametrize("fixture", ["delay", "sweep", "chain"])
-def test_short_round_passes_its_checks(fixture, request):
+def test_round_passes_its_checks(fixture, request):
     workload, ctx, done = request.getfixturevalue(fixture)
     assert done
     for inp, res in done:
@@ -75,7 +75,8 @@ class _ScaledVelocity:
 
 
 def test_shifted_amplitude_is_rejected(delay):
-    workload, ctx, [(inp, res)] = delay
+    workload, ctx, done = delay
+    inp, res = done[0]
     bad = dict(res, traj=_ScaledVelocity(res["traj"], 1.0 + 1e-4))
     bad["w"] = bad["traj"](res["t"])
     problems = workload.check(inp, bad, W.Context(ctx.out))
@@ -111,7 +112,7 @@ def test_dropped_root_pair_is_rejected(sweep):
             problems = workload.check(inp, bad, ctx)
             assert any("winding count" in p for p in problems)
             return
-    pytest.fail("no complex root pair in the short sweep")
+    pytest.fail("no complex root pair in the sweep")
 
 
 def test_wrong_verdict_is_rejected(sweep):
@@ -136,7 +137,8 @@ def _change_digit(path: Path):
 
 @pytest.mark.parametrize("which", [4, 5])
 def test_changed_csv_digit_is_rejected(chain, which, tmp_path):
-    workload, ctx, [(inp, res)] = chain
+    workload, ctx, done = chain
+    inp, res = done[0]
     waves = list(res["waves"])
     wave = list(waves[0])
     copy = tmp_path / wave[which].name
@@ -174,7 +176,8 @@ def test_metrics_match_benchmark_json(trace, section):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True
-    assert result["failed"] * 9 == result["attempted"]
+    # only the out-of-rectangle family, one op in nine, may fail
+    assert result["failed"] * 9 in (0, result["attempted"])
     metrics = result["metrics"]
     assert {m["name"]: m["unit"] for m in spec[section]} == \
         {k: v["unit"] for k, v in metrics.items()}

@@ -61,15 +61,14 @@ class DelayLimitCycle:
     name = "delay_limit_cycle"
     V_MAX, D_S, H, T_END, DT_CSV = 2.841, 0.0, 1.5, 80.0, 0.1
 
-    def make_inputs(self, seed: int, short: bool = False):
+    def make_inputs(self, seed: int):
         # bumps of at least 0.015 leave a transient below 6.1e-7 in the
         # period at t = 80 (measured with reference.rk4_extrema)
         rng = np.random.default_rng([seed, 1])
-        n = 1 if short else 2
         return [
             {"k": k, "speed_offset": float(rng.uniform(-0.01, 0.01)),
              "bump": float(rng.choice([-1.0, 1.0]) * rng.uniform(0.015, 0.02))}
-            for k in range(n)
+            for k in range(2)
         ]
 
     def op(self, inp, ctx):
@@ -181,19 +180,17 @@ class StabilitySweep:
     CLASSES = [(2.841, 0.0), (3.3, 0.0), (3.0, 0.3), (4.0, 0.5)]
     FAILING = {"k": -1, "v_max": 1.0, "d_s": 0.0, "hs": list(np.linspace(5.5, 8.0, 30))}
 
-    def make_inputs(self, seed: int, short: bool = False):
+    def make_inputs(self, seed: int):
         # two seeded members of each class, jittered little so that the
         # cost of an op, and so the median, depends little on the seed
         rng = np.random.default_rng([seed, 2])
-        classes = self.CLASSES[:1] if short else self.CLASSES
         fams = []
-        for v_max, d_s in classes + classes:
+        for v_max, d_s in self.CLASSES + self.CLASSES:
             v_max *= float(rng.uniform(0.95, 1.05))
             d_s *= float(rng.uniform(0.9, 1.1))
             lo = 1.02 * h_star(v_max, d_s)
-            n_h = 8 if short else self.N_H
             fams.append({"k": len(fams), "v_max": v_max, "d_s": d_s,
-                         "hs": [float(h) for h in np.linspace(lo, 1.8, n_h)]})
+                         "hs": [float(h) for h in np.linspace(lo, 1.8, self.N_H)]})
         # branch 2 here has a real root near lambda = h, right of the
         # default root rectangle: every op on this family fails today
         return fams + [self.FAILING]
@@ -302,12 +299,11 @@ class ChainExport:
     J_RANGE = (-36, -5)  # cars whose arguments stay inside [-1, 40] for t <= 1.2
     N_FOLLOWERS, T_FOLLOW = 6, 4.0
 
-    def make_inputs(self, seed: int, short: bool = False):
+    def make_inputs(self, seed: int):
         rng = np.random.default_rng([seed, 3])
-        n = 1 if short else 4
         return [{"k": k, "gap_scale": [float(x) for x in
                                        1.0 + 0.1 * rng.uniform(-1.0, 1.0, self.N_FOLLOWERS)]}
-                for k in range(n)]
+                for k in range(4)]
 
     def op(self, inp, ctx):
         spec = ctx.spec(self.V_MAX, self.D_S)
