@@ -91,7 +91,7 @@ class Rk23Driver:
 
     def eval_scalar(self, t):
         """Dense-output state at one time (prehistory for ``t <= t0``)."""
-        if t < self.t0:
+        if t <= self.t0:
             return np.asarray(self.prehistory(t), dtype=float)
         i = int(np.searchsorted(self.ts[: self.n], t, side="right")) - 1
         if i >= self.n - 1:
@@ -99,8 +99,13 @@ class Rk23Driver:
         return self._hermite(t, i)
 
     def eval_component(self, t, k):
-        """Fast scalar path for one state component."""
-        if t < self.t0:
+        """Fast scalar path for one state component.
+
+        ``t <= t0`` goes to the prehistory, which equals ``ys[0]`` at t0:
+        before the first step is accepted there is no mesh interval to
+        interpolate on.
+        """
+        if t <= self.t0:
             return float(self.prehistory(t)[k])
         ts = self.ts
         i = int(np.searchsorted(ts[: self.n], t, side="right")) - 1

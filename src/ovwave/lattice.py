@@ -189,13 +189,14 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
 def ansatz_residual(run: LatticeRun, spec: OvfSpec) -> float:
     """Largest violation of the car-following law over the stored samples.
 
-    Evaluates ``|x_j'' - V(x_{j+1} - x_j) + x_j'|``.  For profile-generated
-    runs the acceleration comes from central differences of the velocity
-    (the profile stores position and velocity only) and the front car of
-    each pair is evaluated from the profile, so the run's own top car is
-    included whenever the profile's domain allows; samples whose stencil
-    leaves the domain are skipped.  Raises :class:`DomainError` when no
-    sample is usable.
+    Evaluates ``|x_j'' - V(x_{j+1} - x_j) + x_j'|``.  The acceleration comes
+    from central differences of the velocity (both sources store position
+    and velocity only): of the profile for profile-generated runs, of the
+    integrator's dense output for direct runs.  For profile-generated runs
+    the front car of each pair is evaluated from the profile, so the run's
+    own top car is included whenever the profile's domain allows.  Samples
+    whose stencil leaves the domain are skipped.  Raises
+    :class:`DomainError` when no sample is usable.
     """
     if run.source == "ansatz":
         traj = run._context["traj"]
@@ -232,14 +233,22 @@ def ansatz_residual(run: LatticeRun, spec: OvfSpec) -> float:
         return max_resid
 
     leader = run._context["leader"]
+    driver = run._context["driver"]
     n = run._context["n"]
-    times = run.times
-    lead_pos = np.array([float(leader(t)[0]) for t in times])
-    gaps = np.empty_like(run.positions)
-    gaps[:, :-1] = np.diff(run.positions, axis=1)
-    gaps[:, -1] = lead_pos - run.positions[:, -1]
-    acc = spec.eval(gaps) - run.velocities
-    resid = np.abs(acc - spec.eval(gaps) + run.velocities)
+    ok = (run.times - _FD_STEP >= driver.t0) & (run.times + _FD_STEP <= driver.t_end)
+    if not np.any(ok):
+        raise DomainError(
+            "no sample leaves room for the residual stencil inside [0, t_end]"
+        )
+    times = run.times[ok]
+    v_plus = driver.eval_array(times + _FD_STEP)[:, n:]
+    v_minus = driver.eval_array(times - _FD_STEP)[:, n:]
+    acc = (v_plus - v_minus) / (2.0 * _FD_STEP)
+    positions = run.positions[ok]
+    gaps = np.empty_like(positions)
+    gaps[:, :-1] = np.diff(positions, axis=1)
+    gaps[:, -1] = np.array([float(leader(t)[0]) for t in times]) - positions[:, -1]
+    resid = np.abs(acc - spec.eval(gaps) + run.velocities[ok])
     return float(np.max(resid))
 
 

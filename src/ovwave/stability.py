@@ -19,12 +19,13 @@ Hopf-type boundary).  Branch-2 profiles always satisfy ``beta < -alpha``
 and are unstable; branch-1 profiles are stable inside S and unstable
 outside its closure.
 
-Root counts are certified with the argument principle: the logarithmic
-derivative of the zero-deflated function ``chi(lambda)/lambda`` is
-integrated around rectangle boundaries with adaptively refined trapezoid
-sums, cross-checked against the accumulated phase; rectangles are then
-subdivided until each cell isolates one root, which Newton refinement
-pins down.
+Roots come from the eigenvalues of a Chebyshev collocation of the
+infinitesimal generator of ``x'' + alpha x' + beta x - beta x(t-1) = 0``
+(Breda, Maset & Vermiglio 2005), polished by Newton steps.  One
+argument-principle count certifies them: the logarithmic derivative of the
+zero-deflated function ``chi(lambda)/lambda`` is integrated around the
+search rectangle with adaptively refined trapezoid sums, cross-checked
+against the accumulated phase, and must equal the number of roots found.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ UNDETERMINED = "undetermined"
 
 _BETA_AXIS_TOP = math.pi * math.pi / 2.0
 _BOUNDARY_TOL = 1e-9
-_DEFAULT_RECT = (-0.5, 5.0, -30.0, 30.0)
 _CHI_RESIDUAL_TOL = 1e-10
+_CHEB_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -228,11 +229,10 @@ def _d_pair(alpha: float, beta: float, z):
     ez = np.exp(-zs)
     e_ratio = (1.0 - ez) / zs
     e_ratio_d = (ez * (1.0 + zs) - 1.0) / (zs * zs)
-    t = np.where(small, z, 0.0)
-    series = 1.0 - t / 2.0 + t**2 / 6.0 - t**3 / 24.0 + t**4 / 120.0 - t**5 / 720.0
-    series_d = -0.5 + t / 3.0 - t**2 / 8.0 + t**3 / 30.0 - t**4 / 144.0
-    e_ratio = np.where(small, series, e_ratio)
-    e_ratio_d = np.where(small, series_d, e_ratio_d)
+    if np.any(small):
+        t = z[small]
+        e_ratio[small] = 1.0 - t / 2.0 + t**2 / 6.0 - t**3 / 24.0 + t**4 / 120.0 - t**5 / 720.0
+        e_ratio_d[small] = -0.5 + t / 3.0 - t**2 / 8.0 + t**3 / 30.0 - t**4 / 144.0
     d = z + alpha + beta * e_ratio
     dp = 1.0 + beta * e_ratio_d
     return d, dp
@@ -240,16 +240,13 @@ def _d_pair(alpha: float, beta: float, z):
 
 def _rect_boundary(rect, m: int):
     a, b, c, d = rect
-    corners = [complex(a, c), complex(b, c), complex(b, d), complex(a, d)]
-    parts = []
-    frac = np.arange(m) / m
-    for p, q in zip(corners, corners[1:] + corners[:1]):
-        parts.append(p + (q - p) * frac)
-    parts.append(np.array([corners[0]]))
-    return np.concatenate(parts)
+    corners = np.array([complex(a, c), complex(b, c), complex(b, d), complex(a, d),
+                        complex(a, c)])
+    sides = corners[:-1, None] + np.diff(corners)[:, None] * (np.arange(m) / m)
+    return np.append(sides.ravel(), corners[0])
 
 
-def _winding(alpha: float, beta: float, rect, m_max: int = 8192) -> int:
+def _winding(alpha: float, beta: float, rect) -> int:
     """Number of deflated roots inside a rectangle, certified two ways.
 
     The trapezoid sum of D'/D around the boundary must come out integer to
@@ -257,8 +254,7 @@ def _winding(alpha: float, beta: float, rect, m_max: int = 8192) -> int:
     stay well below pi.  Raises :class:`RootFinderError` when a root sits
     too close to the contour for the count to converge.
     """
-    m = 64
-    while m <= m_max:
+    for m in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
         poly = _rect_boundary(rect, m)
         dvals, dpvals = _d_pair(alpha, beta, poly)
         if np.min(np.abs(dvals)) == 0.0:
@@ -276,7 +272,6 @@ def _winding(alpha: float, beta: float, rect, m_max: int = 8192) -> int:
             and abs(quad.imag) < 1e-3
         ):
             return n_round
-        m *= 2
     raise RootFinderError(
         f"winding count did not converge on rectangle {rect}; "
         "a root may lie on the boundary"
@@ -298,83 +293,65 @@ def _count_with_nudge(alpha: float, beta: float, rect):
     )
 
 
-def _newton_root(alpha: float, beta: float, rect):
+def _collocation_generator(n: int) -> np.ndarray:
+    """d/dtheta of (x - x(0), x') at n + 1 Chebyshev nodes on [-1, 0].
+
+    Node 0 is theta = 0 and node n is theta = -1.  Measuring positions from
+    x(0) drops the translation mode, so the eigenvalues approximate the
+    roots of chi/lambda.  Row 0, ``x''(0) = -alpha x'(0) + beta (x(-1) -
+    x(0))``, depends on (alpha, beta) and is filled in per call.
+    """
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    w = np.r_[2.0, np.ones(n - 1), 2.0] * (-1.0) ** np.arange(n + 1)
+    diff = np.outer(w, 1.0 / w) / (x[:, None] - x[None, :] + np.eye(n + 1))
+    diff -= np.diag(diff.sum(axis=1))
+    gen = np.kron(2.0 * diff, np.eye(2))[1:, 1:]  # theta = (x - 1)/2
+    gen[1::2, 0] -= 1.0  # (x - x(0))' = x' - x'(0)
+    gen[0] = 0.0
+    return gen
+
+
+_GENERATOR = _collocation_generator(_CHEB_NODES)
+
+
+def _eigen_roots(alpha: float, beta: float, rect) -> np.ndarray:
+    """Roots of D in a rectangle, from the eigenvalues of the generator.
+
+    Only the eigenvalues with ``Im >= 0`` within one unit of the rectangle
+    are polished by Newton steps on D; the conjugates of the non-real
+    results are added afterwards, so non-real roots come in exact pairs.
+    """
     a, b, c, d = rect
-    seeds = [
-        complex(0.5 * (a + b), 0.5 * (c + d)),
-        complex(0.65 * a + 0.35 * b, 0.5 * (c + d)),
-        complex(0.35 * a + 0.65 * b, 0.5 * (c + d)),
-        complex(0.5 * (a + b), 0.65 * c + 0.35 * d),
-        complex(0.5 * (a + b), 0.35 * c + 0.65 * d),
-    ]
-    slack_re = 1e-9 * (1.0 + b - a)
-    slack_im = 1e-9 * (1.0 + d - c)
-    for z in seeds:
-        polish = 0
-        for _ in range(60):
+    gen = _GENERATOR.copy()
+    gen[0, 0] = -alpha
+    gen[0, -2] = beta
+    lam = np.linalg.eigvals(gen)
+    z = lam[(lam.imag >= 0.0) & (a - 1.0 < lam.real) & (lam.real < b + 1.0)
+            & (lam.imag < max(-c, d) + 1.0)]
+    with np.errstate(all="ignore"):
+        for _ in range(20):
             dval, dpval = _d_pair(alpha, beta, z)
-            dval, dpval = dval.item(), dpval.item()
-            if dpval == 0.0:
-                break
             step = dval / dpval
             z = z - step
-            if not (abs(z.real) < 1e6 and abs(z.imag) < 1e6):
+            # a step below 1e-13 leaves the root at the rounding floor, which
+            # the caller's |chi| check relies on; non-finite iterates from
+            # diverging starts do not hold the loop and are dropped below
+            if not np.any(np.abs(step) > 1e-13 * (1.0 + np.abs(z))):
                 break
-            if abs(step) <= 1e-13 * (1.0 + abs(z)):
-                # two extra iterations push the residual to the rounding
-                # floor, which the caller's |chi| check relies on
-                polish += 1
-                if polish >= 3:
-                    if (a - slack_re <= z.real <= b + slack_re
-                            and c - slack_im <= z.imag <= d + slack_im):
-                        return z
-                    break
-    return None
+    z = z[np.isfinite(z)]
+    z = np.concatenate([z, z[z.imag != 0.0].conj()])
+    return z[(a <= z.real) & (z.real <= b) & (c <= z.imag) & (z.imag <= d)]
 
 
-def _split(rect, frac: float):
-    a, b, c, d = rect
-    if (b - a) >= (d - c):
-        mid = a + (b - a) * frac
-        return (a, mid, c, d), (mid, b, c, d)
-    mid = c + (d - c) * frac
-    return (a, b, c, mid), (a, b, mid, d)
-
-
-def _locate(alpha: float, beta: float, rect, count: int, depth: int = 0) -> list[complex]:
-    if count == 0:
-        return []
-    if depth > 64:
-        raise RootFinderError("root subdivision exceeded maximum depth")
-    if count == 1:
-        root = _newton_root(alpha, beta, rect)
-        if root is not None:
-            return [root]
-    # split, shifting the cut line if it lands on a root
-    for frac in (0.5, 0.46, 0.57, 0.42, 0.61, 0.53):
-        r1, r2 = _split(rect, frac)
-        try:
-            n1 = _winding(alpha, beta, r1)
-            n2 = _winding(alpha, beta, r2)
-        except RootFinderError:
-            continue
-        if n1 + n2 != count:
-            continue
-        return (
-            _locate(alpha, beta, r1, n1, depth + 1)
-            + _locate(alpha, beta, r2, n2, depth + 1)
-        )
-    raise RootFinderError(f"could not isolate roots in rectangle {rect}")
-
-
-def rightmost_roots(params: StabilityParams, rect=None, max_roots: int = 64) -> list[complex]:
+def rightmost_roots(params: StabilityParams, rect=None) -> list[complex]:
     """All characteristic roots in a rectangle, count-certified.
 
     The ever-present zero root is handled by deflation so it cannot
     contaminate counts of nearby roots; it is reported whenever the
     rectangle contains the origin.  Each returned root satisfies
     ``|chi(root)| <= 1e-10`` and non-real roots come in conjugate pairs.
-    Roots are sorted by descending real part.
+    Roots are sorted by descending real part.  The default rectangle
+    reaches past every root with nonnegative real part.
 
     Raises
     ------
@@ -383,64 +360,37 @@ def rightmost_roots(params: StabilityParams, rect=None, max_roots: int = 64) -> 
     RootFinderError
         When located roots cannot be reconciled with the winding count.
     """
+    alpha, beta = params.alpha, params.beta
     if rect is None:
-        rect = _DEFAULT_RECT
+        # for Re(lambda) >= 0, |1 - exp(-lambda)| <= 2, so a root satisfies
+        # |lambda| (|lambda| - |alpha|) <= 2 beta, i.e. |lambda| <= r - 1
+        r = 0.5 * (abs(alpha) + math.sqrt(alpha * alpha + 8.0 * beta)) + 1.0
+        rect = (-0.5, max(5.0, r), -max(30.0, r), max(30.0, r))
     a, b, c, d = (float(x) for x in rect)
     if not (a < b and c < d):
         raise ParameterError(f"malformed search rectangle {rect}")
     if a <= -20.0:
         raise ParameterError("rectangle left edge must exceed -20")
-    alpha, beta = params.alpha, params.beta
 
     count, used = _count_with_nudge(alpha, beta, (a, b, c, d))
-    include_zero = a < 0.0 < b and c < 0.0 < d
-    if count + (1 if include_zero else 0) > max_roots:
-        raise RootFinderError(f"{count} roots exceed max_roots={max_roots}")
-    roots = _locate(alpha, beta, used, count)
+    roots = _eigen_roots(alpha, beta, used)
     if len(roots) != count:
         raise RootFinderError(
             f"located {len(roots)} roots but the winding count is {count}"
         )
+    gaps = np.abs(roots[:, None] - roots[None, :])
+    np.fill_diagonal(gaps, math.inf)
+    if count > 1 and np.min(gaps) <= 1e-9:
+        raise RootFinderError("two eigenvalues were polished onto the same root")
+    resid = np.abs(char_eval(params, roots))
+    if count and np.max(resid) > _CHI_RESIDUAL_TOL:
+        raise RootFinderError(f"roots {roots} have characteristic residuals {resid}")
 
-    cleaned = []
-    for z in roots:
-        if abs(z.imag) <= 1e-9 * (1.0 + abs(z)):
-            z = complex(z.real, 0.0)
-        if abs(z) <= 1e-9:
-            z = complex(0.0, 0.0)
-        cleaned.append(z)
-    if include_zero:
-        cleaned.append(complex(0.0, 0.0))
-
-    # keep roots inside the requested rectangle, restore missing conjugates
-    slack_re = 1e-9 * (1.0 + b - a)
-    slack_im = 1e-9 * (1.0 + d - c)
-
-    def _inside(z):
-        return (a - slack_re <= z.real <= b + slack_re
-                and c - slack_im <= z.imag <= d + slack_im)
-
-    final: list[complex] = []
-
-    def _push(z):
-        for w in final:
-            if abs(z - w) <= 1e-9 * (1.0 + abs(z)):
-                return
-        final.append(z)
-
-    for z in cleaned:
-        if _inside(z):
-            _push(z)
-            if z.imag != 0.0 and _inside(z.conjugate()):
-                _push(z.conjugate())
-
-    for z in final:
-        if z != 0.0:
-            resid = abs(char_eval(params, z))
-            if resid > _CHI_RESIDUAL_TOL:
-                raise RootFinderError(
-                    f"root {z} has characteristic residual {resid}"
-                )
+    # a root of D at zero (a double zero root) is the zero root, reported once
+    final = [complex(z) for z in roots
+             if abs(z) > 1e-9 and a <= z.real <= b and c <= z.imag <= d]
+    if a < 0.0 < b and c < 0.0 < d:
+        final.append(0j)
     final.sort(key=lambda z: (-z.real, abs(z.imag), z.imag))
     return final
 

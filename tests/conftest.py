@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -35,15 +36,20 @@ def quadratic_speeds(v_max: float, h: float) -> list[float]:
     return [h * v_max / 2.0 - r, h * v_max / 2.0 + r]
 
 
-def boundary_distance(alpha: float, beta: float) -> float:
-    """Euclidean distance of (alpha, beta) to the stability region boundary."""
+@functools.cache
+def _c1_sample() -> np.ndarray:
     from ovwave.stability import c1_curve
 
+    nus = np.linspace(1e-6, math.pi - 1e-6, 4001)
+    return np.array([c1_curve(float(nu)) for nu in nus])
+
+
+def boundary_distance(alpha: float, beta: float) -> float:
+    """Euclidean distance of (alpha, beta) to the stability region boundary."""
     top = math.pi * math.pi / 2.0
     d_g0 = math.hypot(alpha, beta - min(max(beta, 0.0), top))
     t = np.clip((-2.0 * alpha + 2.0 * beta) / 8.0, 0.0, 1.0)
     d_g1 = math.hypot(alpha + 2.0 * t, beta - 2.0 * t)
-    nus = np.linspace(1e-6, math.pi - 1e-6, 4001)
-    pts = np.array([c1_curve(float(nu)) for nu in nus])
+    pts = _c1_sample()
     d_c1 = float(np.min(np.hypot(pts[:, 0] - alpha, pts[:, 1] - beta)))
     return min(d_g0, d_g1, d_c1)

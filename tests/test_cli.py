@@ -66,6 +66,9 @@ def test_example1_bundle(tmp_path):
     assert record["verdict"]["classification"] == "stable"
     assert record["verdict"]["region"] == "inside_S"
     assert record["verdict"]["beta"] == pytest.approx(0.39899, abs=1e-4)
+    # the margin after the history window moves with the run
+    stats = record["solver"]["stats"]
+    assert stats["gronwall_ok"] and stats["gronwall_log_margin"] > 0.0
     data = json.loads((tmp_path / "example1_verdict.json").read_text())
     assert data["verdict"]["classification"] == "stable"
     series = (tmp_path / "example1_series.csv").read_text().splitlines()

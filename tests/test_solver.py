@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ovwave as ow
+from ovwave._rk23 import Rk23Driver
 
 
 def _branch1_speed(spec, h):
@@ -90,6 +91,29 @@ def test_quasi_stationary_run_is_exact(vq100):
     t = np.linspace(0.0, 20.0, 500)
     assert np.max(np.abs(traj(t)[:, 1] + c)) <= 1e-6
     assert traj.stats.gronwall_ok
+
+
+def test_lookup_at_t0_before_the_first_step_reads_the_history():
+    history = lambda t: np.array([1.0, 2.0])
+    drv = Rk23Driver(0.0, history(0.0), 3.0, 1e-9, 1e-12, prehistory=history)
+    # storage past the first mesh point is unset until steps are accepted
+    drv.ts[1:] = np.nan
+    drv.ys[1:] = np.nan
+    drv.fs[:] = np.nan
+    assert drv.eval_component(0.0, 0) == 1.0
+    assert drv.eval_scalar(0.0).tolist() == [1.0, 2.0]
+
+
+def test_first_step_spanning_the_delay(vq100):
+    # the offset history is a fixed point, so the first step covers the
+    # whole delay and its last stage looks up t - 1 = t0 while the mesh
+    # holds a single point
+    c = _branch1_speed(vq100, 0.2)
+    traj = ow.integrate(vq100, 0.2, ow.Segment.quasi_stationary(c, 5.0), 3.0)
+    assert traj.mesh.tolist() == [0.0, 1.0, 2.0, 3.0]
+    t = np.linspace(0.0, 3.0, 31)
+    exact = np.stack([5.0 - c * t, np.full_like(t, -c)], axis=-1)
+    assert np.max(np.abs(traj(t) - exact)) <= 1e-12
 
 
 def test_perturbed_run_attracted_to_wavefront(vq100):

@@ -1,10 +1,14 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ovwave as ow
+from ovwave import stability
+from ovwave.cli import main
 from ovwave.stability import c1_curve
 from conftest import boundary_distance
 
@@ -195,6 +199,43 @@ def test_classifier_and_roots_agree_on_small_grid():
             roots = ow.rightmost_roots(params)
             has_unstable = any(z.real > 1e-6 for z in roots)
             assert (region == ow.OUTSIDE_S) == has_unstable, (alpha, beta, roots)
+
+
+def test_default_window_reaches_branch2_root_beyond_five(tmp_path, capsys):
+    # on branch 2 the unstable real root sits near lambda = h, so the default
+    # search rectangle must reach well past Re = 5 here
+    rc = main(["classify", "--v-max", "1", "--d-s", "0", "--h", "6", "--branch", "2",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["classification"] == ow.UNSTABLE
+    real = [re for re, im in record["rightmost_roots"] if im == 0.0 and re > 0.0]
+    assert real == [pytest.approx(5.942, abs=1e-3)]
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(-8.0, 0.0), beta=st.floats(0.0, 100.0))
+def test_roots_certified_paired_and_bounded(alpha, beta):
+    params = P(alpha, beta)
+    roots = ow.rightmost_roots(params)
+    # for Re(lambda) >= 0 a root satisfies |lambda| (|lambda| - |alpha|) <= 2 beta
+    radius = 0.5 * (abs(alpha) + math.sqrt(alpha * alpha + 8.0 * beta))
+    for z in roots:
+        assert abs(ow.char_eval(params, z)) <= 1e-10
+        if z.real >= 0.0:
+            assert abs(z) <= radius * (1.0 + 1e-12), (z, radius)
+        if z.imag != 0.0:
+            assert z.conjugate() in roots
+    if boundary_distance(alpha, beta) > 1e-3:
+        has_unstable = any(z.real > 1e-6 for z in roots)
+        assert (ow.region_classify(params) == ow.OUTSIDE_S) == has_unstable, roots
+
+
+def test_dropped_eigenvalue_root_fails_the_certificate(monkeypatch):
+    found = stability._eigen_roots
+    monkeypatch.setattr(stability, "_eigen_roots", lambda *args: found(*args)[1:])
+    with pytest.raises(ow.RootFinderError):
+        ow.rightmost_roots(P(-1.5, 2.8245))
 
 
 # -- verdicts and crossings --------------------------------------------------------
