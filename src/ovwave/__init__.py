@@ -27,7 +27,6 @@ from .solver import (
     Segment,
     SolverStats,
     Trajectory,
-    affine_trajectory,
     gronwall_report,
     integrate,
     rhs,

@@ -29,8 +29,17 @@ from .errors import (
     ParameterError,
 )
 from .lattice import lattice_to_csv, wavefront_to_lattice
-from .solver import Segment, integrate, trajectory_metadata, trajectory_to_csv
+from .solver import (
+    Segment,
+    _acceleration,
+    _fmt,
+    _write_lines,
+    integrate,
+    trajectory_metadata,
+    trajectory_to_csv,
+)
 from .stability import (
+    StabilityParams,
     classify_wavefront,
     hopf_crossing,
     region_boundary_samples,
@@ -50,21 +59,8 @@ EXAMPLES = {
 }
 
 
-def _fmt(x) -> str:
-    return "" if x is None else f"{x:.17g}"
-
-
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def _verdict_record(point, verdict) -> dict:
@@ -98,7 +94,7 @@ def measure_oscillation(traj, spec, h: float, c: float, n_cycles: int = 10,
     w = traj(t)
     z, dz = w[:, 0], w[:, 1]
     z_delay = traj(t - 1.0)[:, 0]
-    acc = h * h * spec.eval(z_delay - z) + h * dz
+    acc = _acceleration(spec, h)(z_delay - z, dz)
     dev = np.abs(dz + c)
 
     sgn = np.sign(acc)
@@ -151,16 +147,8 @@ def run_example(name: str, out_dir, t_end: float | None = None,
     """
     if name not in EXAMPLES:
         raise ParameterError(f"unknown example {name!r}; use example1..example3")
-    preset = dict(EXAMPLES[name])
-    cfg = ExperimentConfig().with_overrides(
-        v_max=preset["v_max"],
-        d_s=preset["d_s"],
-        h=preset["h"],
-        branch=preset["branch"],
-        t_end=t_end if t_end is not None else preset["t_end"],
-        tol_rel=tol_rel,
-        tol_abs=tol_abs,
-        dt=dt,
+    cfg = ExperimentConfig().with_overrides(**EXAMPLES[name]).with_overrides(
+        t_end=t_end, tol_rel=tol_rel, tol_abs=tol_abs, dt=dt
     )
     spec = cfg.build_ovf()
     point = branch_eval(spec, cfg.h, cfg.branch)
@@ -171,7 +159,6 @@ def run_example(name: str, out_dir, t_end: float | None = None,
     )
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = out_dir / f"{name}_series.csv"
     trajectory_to_csv(traj, series, cfg.dt)
     record = {
@@ -208,7 +195,6 @@ def run_perturbed(cfg: ExperimentConfig, out_dir) -> dict:
     osc = measure_oscillation(traj, spec, cfg.h, speed)
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = out_dir / "perturbed_series.csv"
     trajectory_to_csv(traj, series, cfg.dt)
     record = {
@@ -237,7 +223,6 @@ def run_sweep(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
         )
 
     rows = []
-    regions = []
     hs = np.linspace(h_lo, h_hi, samples)
     for h in hs:
         p1 = branch_eval(spec, float(h), 1)
@@ -248,14 +233,12 @@ def run_sweep(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
                 (float(h), p1.c, p2.c if p2 else None, verdict.params.alpha,
                  verdict.params.beta, verdict.region, verdict.classification)
             )
-            regions.append(verdict.region)
         else:
             rows.append((float(h), None, p2.c if p2 else None, None, None, None, None))
-            regions.append(None)
 
     flips = []
-    for i in range(len(regions) - 1):
-        a, b = regions[i], regions[i + 1]
+    for i in range(len(rows) - 1):
+        a, b = rows[i][5], rows[i + 1][5]  # the region column
         if a in ("inside_S", "outside_S") and b in ("inside_S", "outside_S") and a != b:
             flips.append((float(hs[i]), float(hs[i + 1])))
     h_H = omega = None
@@ -293,21 +276,8 @@ def run_sweep(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for attr, field in (
-        ("v_max", "v_max"),
-        ("d_s", "d_s"),
-        ("h", "h"),
-        ("branch", "branch"),
-        ("c", "c"),
-        ("t_end", "t_end"),
-        ("tol_rel", "tol_rel"),
-        ("tol_abs", "tol_abs"),
-        ("dt", "dt"),
-    ):
-        if getattr(args, attr, None) is not None:
-            overrides[field] = getattr(args, attr)
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    names = ("v_max", "d_s", "h", "branch", "c", "t_end", "tol_rel", "tol_abs", "dt")
+    return cfg.with_overrides(**{name: getattr(args, name, None) for name in names})
 
 
 def _cmd_branches(args) -> int:
@@ -340,8 +310,6 @@ def _cmd_stability_region(args) -> int:
         lines.append(f"{curve},{_fmt(param)},{_fmt(alpha)},{_fmt(beta)}")
     _write_lines(out / "region_boundary.csv", lines)
 
-    from .stability import StabilityParams
-
     lines = ["alpha,beta,region"]
     for alpha in np.linspace(-3.0, 0.0, args.grid_n):
         for beta in np.linspace(0.0, 6.0, args.grid_n):
@@ -372,7 +340,6 @@ def _cmd_simulate(args) -> int:
     seg = cfg.build_segment(speed)
     traj = integrate(spec, cfg.h, seg, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trajectory_to_csv(traj, out / "series.csv", cfg.dt)
     _write_json(out / "series_meta.json", trajectory_metadata(traj))
     return EXIT_OK
@@ -393,9 +360,7 @@ def _cmd_lattice(args) -> int:
     t_max = args.t_max if args.t_max is not None else cfg.h
     times = np.linspace(0.0, t_max, args.n_times)
     run = wavefront_to_lattice(traj, cfg.h, (args.j_min, args.j_max), times)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lattice_to_csv(run, out / "lattice.csv", headways=args.headways)
+    lattice_to_csv(run, Path(args.out) / "lattice.csv", headways=args.headways)
     return EXIT_OK
 
 
@@ -420,20 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, tol=True, model=True):
+    def common(p):
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default=".", help="output directory")
-        if model:
-            p.add_argument("--v-max", dest="v_max", type=float, default=None)
-            p.add_argument("--d-s", dest="d_s", type=float, default=None)
-            p.add_argument("--h", type=float, default=None)
-            p.add_argument("--branch", type=int, default=None)
-            p.add_argument("--c", type=float, default=None)
-            p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        if tol:
-            p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-            p.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
-            p.add_argument("--dt", type=float, default=None)
+        p.add_argument("--v-max", dest="v_max", type=float, default=None)
+        p.add_argument("--d-s", dest="d_s", type=float, default=None)
+        p.add_argument("--h", type=float, default=None)
+        p.add_argument("--branch", type=int, default=None)
+        p.add_argument("--c", type=float, default=None)
+        p.add_argument("--t-end", dest="t_end", type=float, default=None)
+        p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
+        p.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
+        p.add_argument("--dt", type=float, default=None)
 
     p = sub.add_parser("branches", help="tabulate both branch speeds over h")
     common(p)
@@ -451,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="stability verdict for one branch point")
     common(p)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, out=None)  # prints; writes only with --out
 
     p = sub.add_parser("simulate", help="integrate a configured run and export series")
     common(p)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ovf import OvfSpec, make_vq
-from .solver import Segment
+from .solver import Segment, _check_tolerances
 from .waves import branch_eval
 
 __all__ = ["ExperimentConfig"]
@@ -106,11 +106,7 @@ class ExperimentConfig:
             raise ConfigError(f"slope must be finite, got {self.slope}")
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if not (self.tol_rel >= 1e-12 and self.tol_abs > 0):
-            raise ConfigError(
-                f"tolerances must satisfy rel >= 1e-12 and abs > 0, "
-                f"got ({self.tol_rel}, {self.tol_abs})"
-            )
+        _check_tolerances(self.tol_rel, self.tol_abs, ConfigError)
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not math.isfinite(self.speed_offset) or not math.isfinite(self.amplitude):
@@ -184,8 +180,6 @@ def _parse_entry(section: str, key: str, raw: str) -> dict:
             return {"samples": raw}
         if section == "tolerances":
             return {"tol_rel" if key == "rel" else "tol_abs": float(raw)}
-        if section == "perturbation":
-            return {key: float(raw)}
         return {key: float(raw)}
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc

@@ -23,6 +23,7 @@ import numpy as np
 from ._rk23 import Rk23Driver
 from .errors import DomainError, ParameterError
 from .ovf import OvfSpec
+from .solver import _check_tolerances, _fmt, _write_lines
 
 __all__ = [
     "LatticeRun",
@@ -127,10 +128,7 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
         raise ParameterError(f"n_cars must be >= 1, got {n_cars}")
     if not t_end > 0:
         raise ParameterError(f"t_end must be positive, got {t_end}")
-    if tol_rel < 1e-12:
-        raise ParameterError(f"tol_rel must be >= 1e-12, got {tol_rel}")
-    if not tol_abs > 0:
-        raise ParameterError(f"tol_abs must be positive, got {tol_abs}")
+    _check_tolerances(tol_rel, tol_abs)
     init = np.asarray(init, dtype=float)
     if init.shape != (n_cars, 2):
         raise ParameterError(f"init must have shape ({n_cars}, 2), got {init.shape}")
@@ -153,14 +151,7 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
         acc = value(gaps) - v
         return np.concatenate([v, acc])
 
-    driver = Rk23Driver(
-        0.0,
-        np.concatenate([init[:, 0], init[:, 1]]),
-        float(t_end),
-        tol_rel,
-        tol_abs,
-    )
-    driver.run(f)
+    driver = Rk23Driver(0.0, init.T.ravel(), float(t_end), tol_rel, tol_abs).run(f)
 
     if times is None:
         times = np.linspace(0.0, float(t_end), 200)
@@ -252,10 +243,6 @@ def ansatz_residual(run: LatticeRun, spec: OvfSpec) -> float:
     return float(np.max(resid))
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
 def lattice_to_csv(run: LatticeRun, path, headways: bool = False) -> None:
     """Long-format export: t, j, x, v rows (or t, j, headway rows)."""
     lines = []
@@ -272,5 +259,4 @@ def lattice_to_csv(run: LatticeRun, path, headways: bool = False) -> None:
                 lines.append(
                     f"{_fmt(t)},{j},{_fmt(run.positions[i, k])},{_fmt(run.velocities[i, k])}"
                 )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

@@ -10,19 +10,27 @@ lookup falls into already-computed history (method of steps).  Derivative
 jumps propagate from the initial segment at whole numbers; the mesh is
 forced onto t = 1, 2, 3, 4, after which the solution is smooth enough for
 the integration order.
+
+The pair has two components, so :func:`integrate` runs the
+Bogacki-Shampine 3(2) steps of :mod:`ovwave._rk23` as one loop on Python
+floats, with the step-size rules shared with the vector driver.  The lagged
+value ``z(t-1)`` comes from the cubic Hermite interpolant on the accepted
+mesh, found by a cursor that walks forward with the lookups and steps back
+after a rejected step.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._rk23 import Rk23Driver
-from .errors import DomainError, ParameterError
+from ._rk23 import MAX_STEPS, clip_step, hermite, initial_step, next_step
+from .errors import DomainError, NumericalError, ParameterError
 from .ovf import OvfSpec
 
 __all__ = [
@@ -30,7 +38,6 @@ __all__ = [
     "SolverStats",
     "Trajectory",
     "AffineTrajectory",
-    "affine_trajectory",
     "rhs",
     "integrate",
     "gronwall_report",
@@ -134,37 +141,38 @@ class SolverStats:
     rhs_evals: int
     gronwall_ok: bool
     gronwall_log_margin: float
+    dt_min: float
+    dt_max: float
 
 
 class Trajectory:
     """Dense numerical solution of the delayed pair on [-1, t_end].
 
+    Holds the accepted ``mesh`` with the states ``ys`` and slopes ``fs`` on
+    it and the solver ``counts`` (steps, rejected steps, RHS evaluations).
     Calling the trajectory with a scalar or array of times returns the state
-    ``(z, z')``; times in [-1, 0] delegate to the initial segment.  The
+    ``(z, z')``; times before t0 delegate to the initial segment.  The
     velocity component equals the derivative of the position interpolant at
     every mesh point by construction.  Instances are immutable by
     convention and safe to share between threads.
     """
 
-    def __init__(self, driver: Rk23Driver, phi: Segment, ovf: OvfSpec, h: float,
+    def __init__(self, mesh, ys, fs, counts, phi: Segment, ovf: OvfSpec, h: float,
                  tol_rel: float, tol_abs: float):
-        self._driver = driver
-        self.t0 = driver.t0
-        self.t_end = driver.t_end
+        self.mesh = mesh
+        self._ys = ys
+        self._fs = fs
+        self.t0 = float(mesh[0])
+        self.t_end = float(mesh[-1])
         self.phi = phi
         self.ovf = ovf
         self.h = h
         self.tol_rel = tol_rel
         self.tol_abs = tol_abs
-        self.mesh = driver.ts[: driver.n].copy()
         ok, margin = gronwall_report(self)
-        self.stats = SolverStats(
-            steps=driver.naccept,
-            rejected=driver.nreject,
-            rhs_evals=driver.nfev,
-            gronwall_ok=ok,
-            gronwall_log_margin=margin,
-        )
+        steps = np.diff(mesh)
+        self.stats = SolverStats(*counts, gronwall_ok=ok, gronwall_log_margin=margin,
+                                 dt_min=float(steps.min()), dt_max=float(steps.max()))
 
     @property
     def domain(self):
@@ -174,13 +182,16 @@ class Trajectory:
         arr = np.asarray(t, dtype=float)
         lo, hi = self.domain
         slack = 1e-9 * max(1.0, hi - lo)
-        if np.any(arr < lo - slack) or np.any(arr > hi + slack):
+        if (arr < lo - slack).any() or (arr > hi + slack).any():
             raise DomainError(
                 f"trajectory evaluated outside [{lo}, {hi}]"
             )
-        if arr.ndim == 0:
-            return self._driver.eval_scalar(float(np.clip(arr, lo, hi)))
-        return self._driver.eval_array(np.clip(arr, lo, hi))
+        flat = np.minimum(np.maximum(arr, lo), hi).ravel()
+        out = hermite(self.mesh, self._ys, self._fs, flat)
+        past = flat < self.t0
+        if past.any():
+            out[past] = self.phi(flat[past])
+        return out.reshape(arr.shape + (2,))
 
 
 class AffineTrajectory:
@@ -208,8 +219,11 @@ class AffineTrajectory:
         )
 
 
-def affine_trajectory(slope, offset=0.0) -> AffineTrajectory:
-    return AffineTrajectory(slope, offset)
+def _acceleration(spec: OvfSpec, h: float):
+    """The acceleration law ``(gap, v) -> h^2 V(gap) + h v`` of the pair."""
+    h2 = h * h
+    value = spec.eval
+    return lambda gap, v: h2 * value(gap) + h * v
 
 
 def rhs(spec: OvfSpec, h: float, segment) -> tuple[float, float]:
@@ -217,7 +231,7 @@ def rhs(spec: OvfSpec, h: float, segment) -> tuple[float, float]:
 
     Returns ``(v, h^2 V(p(-1) - p(0)) + h v)`` where ``p`` and ``v`` are the
     position and velocity components of the segment and ``V`` the optimal
-    velocity function.
+    velocity function.  :func:`integrate` steps with the same law.
     """
     if not h > 0:
         raise ParameterError(f"h must be positive, got {h}")
@@ -225,49 +239,126 @@ def rhs(spec: OvfSpec, h: float, segment) -> tuple[float, float]:
     head = np.asarray(segment(0.0), dtype=float)
     gap = float(tail[0]) - float(head[0])
     v = float(head[1])
-    return (v, h * h * float(spec.eval(gap)) + h * v)
+    return (v, _acceleration(spec, h)(gap, v))
+
+
+def _check_tolerances(tol_rel, tol_abs, error=ParameterError) -> None:
+    """The tolerance contract of every integration and configuration."""
+    if not (tol_rel >= 1e-12 and tol_abs > 0):
+        raise error(
+            f"tolerances must satisfy rel >= 1e-12 and abs > 0, got ({tol_rel}, {tol_abs})"
+        )
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt((a * a + b * b) / 2.0)
 
 
 def integrate(spec: OvfSpec, h: float, phi: Segment, t_end: float,
               tol_rel: float = 1e-9, tol_abs: float = 1e-12) -> Trajectory:
     """Integrate the delayed pair from the initial segment up to ``t_end``.
 
-    Local error per step is bounded through the embedded estimate; lagged
-    values come from the dense output of completed history.  Raises
-    :class:`StepSizeError` on step underflow and :class:`DomainError` if the
-    right-hand side turns non-finite.
+    Bogacki-Shampine 3(2) steps from t0 = 0: the stages, error norm and step
+    rules of :meth:`ovwave._rk23.Rk23Driver.run` written out for the two
+    components ``(z, v)`` on Python floats, with ``max_step = 1`` and the
+    mesh forced onto t = 1..4.  Lagged values come from the dense output of
+    completed history.  Raises :class:`StepSizeError` on step underflow,
+    :class:`NumericalError` when the step budget runs out and
+    :class:`DomainError` if the right-hand side turns non-finite.
     """
     if not h > 0:
         raise ParameterError(f"h must be positive, got {h}")
     if not t_end > 0:
         raise ParameterError(f"t_end must be positive, got {t_end}")
-    if tol_rel < 1e-12:
-        raise ParameterError(f"tol_rel must be >= 1e-12, got {tol_rel}")
-    if not tol_abs > 0:
-        raise ParameterError(f"tol_abs must be positive, got {tol_abs}")
+    _check_tolerances(tol_rel, tol_abs)
+    t_end, tol_rel, tol_abs = float(t_end), float(tol_rel), float(tol_abs)
+    targets = [k for k in (1.0, 2.0, 3.0, 4.0) if k < t_end] + [t_end]
+    accel = _acceleration(spec, h)
+    z, v = (float(x) for x in phi(0.0))
+    j = 0  # lag cursor: the mesh interval holding the last lagged time
 
-    y0 = np.asarray(phi(0.0), dtype=float)
-    driver = Rk23Driver(
-        0.0,
-        y0,
-        float(t_end),
-        tol_rel,
-        tol_abs,
-        max_step=1.0,  # never step past the delay
-        breakpoints=[k for k in (1.0, 2.0, 3.0, 4.0) if k < t_end],
-        prehistory=lambda s: phi(s),
-    )
-    h2 = h * h
-    value = spec.eval
-    comp0 = driver.eval_component
+    def gap(t, z):
+        """Headway ``z(t - 1) - z`` seen at stage time ``t``."""
+        nonlocal j
+        s = t - 1.0
+        if s <= 0.0:
+            return float(phi(s)[0]) - z
+        last = len(ts) - 2
+        while j < last and ts[j + 1] <= s:
+            j += 1
+        while j > 0 and ts[j] > s:
+            j -= 1
+        t_j = ts[j]
+        dt = ts[j + 1] - t_j
+        th = (s - t_j) / dt
+        th2 = th * th
+        th3 = th2 * th
+        return (
+            (2.0 * th3 - 3.0 * th2 + 1.0) * zs[j]
+            + (th3 - 2.0 * th2 + th) * dt * vs[j]
+            + (-2.0 * th3 + 3.0 * th2) * zs[j + 1]
+            + (th3 - th2) * dt * vs[j + 1]
+        ) - z
 
-    def f(t, y):
-        gap = comp0(t - 1.0, 0) - y[0]
-        v = y[1]
-        return np.array([v, h2 * value(gap) + h * v])
+    t = 0.0
+    a = accel(gap(t, z), v)
+    if not (math.isfinite(v) and math.isfinite(a)):
+        raise DomainError(f"non-finite right-hand side at t={t}")
+    ts, zs, vs, acs = (array("d", [x]) for x in (t, z, v, a))
+    sz = tol_abs + tol_rel * abs(z)
+    sv = tol_abs + tol_rel * abs(v)
+    dt_prop = initial_step(_rms(z / sz, v / sv), _rms(v / sz, a / sv),
+                           min(1.0, targets[0] - t))
+    target_i = 0
+    rejected_last = False
+    naccept = nreject = 0
+    nfev = 1
 
-    driver.run(f)
-    return Trajectory(driver, phi, spec, h, tol_rel, tol_abs)
+    while t < t_end:
+        if naccept + nreject > MAX_STEPS:
+            raise NumericalError("step budget exhausted")
+        target = targets[target_i]
+        dt, hit = clip_step(dt_prop, 1.0, t, target, t_end)
+
+        z2 = z + (0.5 * dt) * v
+        v2 = v + (0.5 * dt) * a
+        a2 = accel(gap(t + 0.5 * dt, z2), v2)
+        z3 = z + (0.75 * dt) * v2
+        v3 = v + (0.75 * dt) * a2
+        a3 = accel(gap(t + 0.75 * dt, z3), v3)
+        z_new = z + dt * ((2.0 / 9.0) * v + (1.0 / 3.0) * v2 + (4.0 / 9.0) * v3)
+        v_new = v + dt * ((2.0 / 9.0) * a + (1.0 / 3.0) * a2 + (4.0 / 9.0) * a3)
+        t_new = target if hit else t + dt
+        a_new = accel(gap(t_new, z_new), v_new)
+        nfev += 3
+        ez = dt * ((-5.0 / 72.0) * v + (1.0 / 12.0) * v2 + (1.0 / 9.0) * v3
+                   - (1.0 / 8.0) * v_new)
+        ev = dt * ((-5.0 / 72.0) * a + (1.0 / 12.0) * a2 + (1.0 / 9.0) * a3
+                   - (1.0 / 8.0) * a_new)
+        if not (math.isfinite(z_new) and math.isfinite(v_new)
+                and math.isfinite(ez) and math.isfinite(ev)):
+            raise DomainError(f"non-finite right-hand side near t={t}")
+
+        enorm = _rms(ez / (tol_abs + tol_rel * max(abs(z), abs(z_new))),
+                     ev / (tol_abs + tol_rel * max(abs(v), abs(v_new))))
+        dt_prop = next_step(dt, dt_prop, enorm, hit, rejected_last)
+        rejected_last = enorm > 1.0
+        if rejected_last:
+            nreject += 1
+            continue
+        t, z, v, a = t_new, z_new, v_new, a_new
+        ts.append(t)
+        zs.append(z)
+        vs.append(v)
+        acs.append(a)
+        naccept += 1
+        if hit:
+            target_i = min(target_i + 1, len(targets) - 1)
+
+    vel = np.array(vs)
+    return Trajectory(np.array(ts), np.column_stack((np.array(zs), vel)),
+                      np.column_stack((vel, np.array(acs))), (naccept, nreject, nfev),
+                      phi, spec, h, tol_rel, tol_abs)
 
 
 def gronwall_report(traj) -> tuple[bool, float]:
@@ -323,7 +414,16 @@ def solution_offset_invariance_check(traj: Trajectory, d: float) -> bool:
 
 
 def _fmt(x) -> str:
-    return f"{x:.17g}"
+    """The number format of every CSV: 17 significant digits, empty for None."""
+    return "" if x is None else f"{x:.17g}"
+
+
+def _write_lines(path, lines: list[str]) -> None:
+    """Write ``lines`` newline-terminated, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def trajectory_to_csv(traj: Trajectory, path, dt: float) -> None:
@@ -337,8 +437,7 @@ def trajectory_to_csv(traj: Trajectory, path, dt: float) -> None:
     lines = ["t,z,dz"]
     for t, (z, dz) in zip(ts, w):
         lines.append(f"{_fmt(t)},{_fmt(z)},{_fmt(dz)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def trajectory_metadata(traj: Trajectory) -> dict:
@@ -350,15 +449,5 @@ def trajectory_metadata(traj: Trajectory) -> dict:
         "t_end": traj.t_end,
         "tol_rel": traj.tol_rel,
         "tol_abs": traj.tol_abs,
-        "stats": {
-            "steps": traj.stats.steps,
-            "rejected": traj.stats.rejected,
-            "rhs_evals": traj.stats.rhs_evals,
-            "gronwall_ok": traj.stats.gronwall_ok,
-            "gronwall_log_margin": traj.stats.gronwall_log_margin,
-        },
+        "stats": asdict(traj.stats),
     }
-
-
-def trajectory_metadata_json(traj: Trajectory) -> str:
-    return json.dumps(trajectory_metadata(traj), indent=2, sort_keys=True)

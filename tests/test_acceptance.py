@@ -234,7 +234,7 @@ def test_criterion_10_hopf_crossing(vq2841, tmp_path):
 def test_criterion_11_lattice_consistency(vq100):
     h = 0.2
     c = ow.branch_eval(vq100, h, 1).c
-    profile = ow.affine_trajectory(-c, 0.0)
+    profile = ow.AffineTrajectory(-c, 0.0)
 
     leader = ow.leader_from_trajectory(profile, h, j=0)
     n = 5

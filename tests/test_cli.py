@@ -69,6 +69,7 @@ def test_example1_bundle(tmp_path):
     # the margin after the history window moves with the run
     stats = record["solver"]["stats"]
     assert stats["gronwall_ok"] and stats["gronwall_log_margin"] > 0.0
+    assert 0.0 < stats["dt_min"] <= stats["dt_max"] <= 1.0
     data = json.loads((tmp_path / "example1_verdict.json").read_text())
     assert data["verdict"]["classification"] == "stable"
     series = (tmp_path / "example1_series.csv").read_text().splitlines()
@@ -135,6 +136,15 @@ def test_classify_cli_json(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["classification"] == "unstable"
     assert record["branch"] == "branch2"
+    assert json.loads((tmp_path / "classify.json").read_text()) == record
+
+
+def test_classify_without_out_writes_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["classify", "--v-max", "100", "--d-s", "0", "--h", "0.2", "--branch", "1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["classification"] == "stable"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_with_config(tmp_path, config_file):

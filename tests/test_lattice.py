@@ -8,7 +8,7 @@ import ovwave as ow
 
 def _exact_wavefront(vq, h):
     c = ow.branch_eval(vq, h, 1).c
-    return c, ow.affine_trajectory(-c, 0.0)
+    return c, ow.AffineTrajectory(-c, 0.0)
 
 
 def test_quasi_stationary_lattice_identities(vq100):
@@ -27,8 +27,8 @@ def test_quasi_stationary_lattice_identities(vq100):
 def test_lattice_shift_equivariance(vq100):
     c, _ = _exact_wavefront(vq100, 0.2)
     times = np.linspace(0.0, 5.0, 11)
-    base = ow.wavefront_to_lattice(ow.affine_trajectory(-c, 0.0), 0.2, (-3, 2), times)
-    shifted = ow.wavefront_to_lattice(ow.affine_trajectory(-c, 4.0), 0.2, (-3, 2), times)
+    base = ow.wavefront_to_lattice(ow.AffineTrajectory(-c, 0.0), 0.2, (-3, 2), times)
+    shifted = ow.wavefront_to_lattice(ow.AffineTrajectory(-c, 4.0), 0.2, (-3, 2), times)
     assert np.allclose(shifted.positions, base.positions + 4.0, atol=1e-13)
     assert np.array_equal(shifted.velocities, base.velocities)
 

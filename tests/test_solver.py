@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ovwave as ow
 from ovwave._rk23 import Rk23Driver
@@ -93,15 +94,78 @@ def test_quasi_stationary_run_is_exact(vq100):
     assert traj.stats.gronwall_ok
 
 
-def test_lookup_at_t0_before_the_first_step_reads_the_history():
-    history = lambda t: np.array([1.0, 2.0])
-    drv = Rk23Driver(0.0, history(0.0), 3.0, 1e-9, 1e-12, prehistory=history)
-    # storage past the first mesh point is unset until steps are accepted
-    drv.ts[1:] = np.nan
-    drv.ys[1:] = np.nan
-    drv.fs[:] = np.nan
-    assert drv.eval_component(0.0, 0) == 1.0
-    assert drv.eval_scalar(0.0).tolist() == [1.0, 2.0]
+def test_lookup_at_t0_before_the_first_step_reads_the_history(vq100):
+    # the first step spans the delay, so its last stage looks up t - 1 = t0
+    # while the mesh holds a single point
+    c = _branch1_speed(vq100, 0.2)
+    phi = ow.Segment.quasi_stationary(c, 5.0)
+    traj = ow.integrate(vq100, 0.2, phi, 3.0)
+    assert traj.mesh[1] == 1.0
+    assert traj(0.0).tolist() == phi(0.0).tolist()
+    s = np.array([-1.0, -0.5, 0.0])
+    assert traj(s).tolist() == phi(s).tolist()
+
+
+def _vector_driver_run(spec, h, phi, t_end):
+    """The delay pair on the numpy driver, lagged values by ``searchsorted``."""
+    drv = Rk23Driver(0.0, phi(0.0), t_end, 1e-9, 1e-12, max_step=1.0,
+                     breakpoints=[k for k in (1.0, 2.0, 3.0, 4.0) if k < t_end])
+
+    def lagged_position(s):
+        if s <= 0.0:
+            return float(phi(s)[0])
+        n = drv.n
+        i = min(int(np.searchsorted(drv.ts[:n], s, side="right")) - 1, n - 2)
+        ts, z, dz = drv.ts, drv.ys[:, 0], drv.fs[:, 0]
+        dt = ts[i + 1] - ts[i]
+        th = (s - ts[i]) / dt
+        th2 = th * th
+        th3 = th2 * th
+        return (
+            (2.0 * th3 - 3.0 * th2 + 1.0) * z[i]
+            + (th3 - 2.0 * th2 + th) * dt * dz[i]
+            + (-2.0 * th3 + 3.0 * th2) * z[i + 1]
+            + (th3 - th2) * dt * dz[i + 1]
+        )
+
+    def f(t, y):
+        v = y[1]
+        return np.array([v, h * h * spec.eval(lagged_position(t - 1.0) - y[0]) + h * v])
+
+    return drv.run(f)
+
+
+def _bumped_history(speed, bump):
+    return ow.Segment(
+        lambda s: -speed * np.asarray(s) + bump * np.sin(np.pi * np.asarray(s)),
+        lambda s: -speed + bump * np.pi * np.cos(np.pi * np.asarray(s)),
+        {"kind": "bumped"},
+    )
+
+
+@pytest.mark.parametrize("case", ["bumped_example3", "constant", "first_step_spans_delay"])
+def test_scalar_loop_matches_vector_driver(case, vq100, vq2841):
+    if case == "bumped_example3":
+        spec, h, t_end = vq2841, 1.5, 20.0
+        phi = _bumped_history(_branch1_speed(vq2841, 1.5) + 0.005, 0.017)
+    elif case == "constant":
+        spec, h, t_end = vq100, 0.2, 10.0
+        phi = ow.Segment.constant(2.0)
+    else:
+        spec, h, t_end = vq100, 0.2, 3.0
+        phi = ow.Segment.quasi_stationary(_branch1_speed(vq100, 0.2), 5.0)
+    traj = ow.integrate(spec, h, phi, t_end)
+    drv = _vector_driver_run(spec, h, phi, t_end)
+    n = drv.n
+    assert np.array_equal(traj.mesh, drv.ts[:n])
+    assert np.array_equal(traj._ys, drv.ys[:n])
+    assert np.array_equal(traj._fs, drv.fs[:n])
+    stats = traj.stats
+    assert (stats.steps, stats.rejected, stats.rhs_evals) == (drv.naccept, drv.nreject, drv.nfev)
+    if case == "bumped_example3":
+        assert drv.nreject > 0  # retries from the same t send the lag cursor back
+    if case == "first_step_spans_delay":
+        assert drv.ts[1] == 1.0
 
 
 def test_first_step_spanning_the_delay(vq100):
@@ -164,6 +228,31 @@ def test_offset_invariance(vq100, vq2841):
     c3 = _branch1_speed(vq2841, 1.5)
     traj = ow.integrate(vq2841, 1.5, ow.Segment.quasi_stationary(c3 + 1e-3), 30.0)
     assert ow.solution_offset_invariance_check(traj, 0.3)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(
+    v_max=st.floats(1.0, 100.0),
+    d_s=st.floats(0.0, 2.0),
+    h_factor=st.floats(1.01, 4.0),
+    speed_offset=st.one_of(st.just(0.0), st.floats(-0.01, 0.01)),
+    offset=st.one_of(st.just(0.0), st.floats(10.0, 200.0)),
+    shift=st.floats(-1.0, 1.0),
+)
+def test_offset_invariance_property(v_max, d_s, h_factor, speed_offset, offset, shift):
+    # branch-1 wavefronts inside S, started off their speed; offsets of
+    # tens of speeds or more make the first attempted step span the delay.
+    # The check measures the shifted run on the unshifted run's scale, so
+    # the shift stays within that scale.
+    spec = ow.make_vq(v_max, d_s)
+    h = h_factor * ow.critical_pair(spec).h_star
+    point = ow.branch_eval(spec, h, 1)
+    assume(point is not None)
+    assume(ow.region_classify(ow.stability_params(spec, point)) == ow.INSIDE_S)
+    c, t_end = point.c, 4.0
+    phi = ow.Segment.quasi_stationary(c * (1.0 + speed_offset), offset * c)
+    traj = ow.integrate(spec, h, phi, t_end)
+    assert ow.solution_offset_invariance_check(traj, shift * max(offset * c, c * t_end))
 
 
 def test_gronwall_bound_reported(vq2841):
