@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_branches)
 
     p = sub.add_parser("stability-region", help="sample the region boundary and a grid")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default=".")
     p.add_argument("--boundary-n", type=int, default=200)
     p.add_argument("--grid-n", type=int, default=61)

@@ -94,7 +94,7 @@ def make_vq(v_max: float, d_s: float) -> OvfSpec:
     ds = float(d_s)
 
     def value(s):
-        if np.ndim(s) == 0:
+        if isinstance(s, float) or np.ndim(s) == 0:
             u = float(s) - ds
             if u <= 0.0:
                 return 0.0
@@ -105,7 +105,7 @@ def make_vq(v_max: float, d_s: float) -> OvfSpec:
         return vm * q / (1.0 + q)
 
     def slope(s):
-        if np.ndim(s) == 0:
+        if isinstance(s, float) or np.ndim(s) == 0:
             u = float(s) - ds
             if u <= 0.0:
                 return 0.0
@@ -117,7 +117,7 @@ def make_vq(v_max: float, d_s: float) -> OvfSpec:
 
     def curvature(s):
         # right limit at s == d_s, zero below
-        if np.ndim(s) == 0:
+        if isinstance(s, float) or np.ndim(s) == 0:
             if s < ds:
                 return 0.0
             u = float(s) - ds
@@ -126,7 +126,7 @@ def make_vq(v_max: float, d_s: float) -> OvfSpec:
         s = np.asarray(s, dtype=float)
         u = np.maximum(s - ds, 0.0)
         q = 1.0 + u * u
-        return np.where(s < ds, 0.0, 2.0 * vm * (1.0 - 3.0 * u * u) / q**3)
+        return np.where(s < ds, 0.0, 2.0 * vm * (1.0 - 3.0 * u * u) / (q * q * q))
 
     return OvfSpec(
         v_max=vm,

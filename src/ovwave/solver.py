@@ -399,7 +399,7 @@ def solution_offset_invariance_check(traj: Trajectory, d: float) -> bool:
     True when the shifted run reproduces the shifted trajectory within ten
     times the run's tolerance, measured in the norm used throughout this
     module (sup over time of the Euclidean state norm, with the relative
-    part scaled by the trajectory's own sup norm).
+    part scaled by the larger sup norm of the two runs).
     """
     shifted = integrate(
         traj.ovf, traj.h, traj.phi.shifted(d), traj.t_end, traj.tol_rel, traj.tol_abs
@@ -407,9 +407,9 @@ def solution_offset_invariance_check(traj: Trajectory, d: float) -> bool:
     n = max(2, int(round(traj.t_end * 16)) + 1)
     grid = np.linspace(0.0, traj.t_end, n)
     a = traj(grid)
-    b = shifted(grid) - np.array([d, 0.0])
-    diff = float(np.max(np.linalg.norm(b - a, axis=-1)))
-    scale = float(np.max(np.linalg.norm(a, axis=-1)))
+    b = shifted(grid)
+    diff = float(np.max(np.linalg.norm(b - np.array([d, 0.0]) - a, axis=-1)))
+    scale = float(np.max(np.linalg.norm(np.concatenate([a, b]), axis=-1)))
     return diff <= 10.0 * (traj.tol_abs + traj.tol_rel * scale)
 
 

@@ -20,12 +20,14 @@ and are unstable; branch-1 profiles are stable inside S and unstable
 outside its closure.
 
 Roots come from the eigenvalues of a Chebyshev collocation of the
-infinitesimal generator of ``x'' + alpha x' + beta x - beta x(t-1) = 0``
-(Breda, Maset & Vermiglio 2005), polished by Newton steps.  One
-argument-principle count certifies them: the logarithmic derivative of the
-zero-deflated function ``chi(lambda)/lambda`` is integrated around the
-search rectangle with adaptively refined trapezoid sums, cross-checked
-against the accumulated phase, and must equal the number of roots found.
+infinitesimal generator of ``y' = -alpha y - beta * (integral of y over
+[t-1, t])``, solved by ``y = x'`` (Breda, Maset & Vermiglio 2005), polished
+by Newton steps.  Its characteristic function is the zero-deflated
+``D = chi(lambda)/lambda``.  One argument-principle count certifies them:
+D'/D is integrated around the search rectangle with adaptively refined
+trapezoid sums, cross-checked against the accumulated phase, and must equal
+the number of roots found, an m-fold root counting m times; roots may
+coincide only where D' vanishes to rounding level.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from ._scalar import bisect
 from .errors import (
@@ -84,6 +87,7 @@ _BETA_AXIS_TOP = math.pi * math.pi / 2.0
 _BOUNDARY_TOL = 1e-9
 _CHI_RESIDUAL_TOL = 1e-10
 _CHEB_NODES = 24
+_MULTIPLE_DP = 1e-12  # |D'| at a multiple root, relative to 1 + beta
 
 
 @dataclass(frozen=True)
@@ -293,25 +297,25 @@ def _count_with_nudge(alpha: float, beta: float, rect):
     )
 
 
-def _collocation_generator(n: int) -> np.ndarray:
-    """d/dtheta of (x - x(0), x') at n + 1 Chebyshev nodes on [-1, 0].
+def _collocation_generator(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """d/dtheta at n + 1 Chebyshev nodes on [-1, 0], and their quadrature weights.
 
-    Node 0 is theta = 0 and node n is theta = -1.  Measuring positions from
-    x(0) drops the translation mode, so the eigenvalues approximate the
-    roots of chi/lambda.  Row 0, ``x''(0) = -alpha x'(0) + beta (x(-1) -
-    x(0))``, depends on (alpha, beta) and is filled in per call.
+    Node 0 is theta = 0 and node n is theta = -1.  Row 0, ``y'(0) = -alpha
+    y(0) - beta * (integral of y over [-1, 0])``, depends on (alpha, beta) and
+    is filled in per call.  The Clenshaw-Curtis weights integrate the
+    Chebyshev polynomials T_0 .. T_n exactly; with theta = (x - 1)/2 the
+    derivative doubles and the weights halve.
     """
     x = np.cos(np.pi * np.arange(n + 1) / n)
     w = np.r_[2.0, np.ones(n - 1), 2.0] * (-1.0) ** np.arange(n + 1)
     diff = np.outer(w, 1.0 / w) / (x[:, None] - x[None, :] + np.eye(n + 1))
     diff -= np.diag(diff.sum(axis=1))
-    gen = np.kron(2.0 * diff, np.eye(2))[1:, 1:]  # theta = (x - 1)/2
-    gen[1::2, 0] -= 1.0  # (x - x(0))' = x' - x'(0)
-    gen[0] = 0.0
-    return gen
+    moments = np.zeros(n + 1)
+    moments[::2] = 2.0 / (1.0 - np.arange(0, n + 1, 2) ** 2.0)
+    return 2.0 * diff, 0.5 * np.linalg.solve(chebvander(x, n).T, moments)
 
 
-_GENERATOR = _collocation_generator(_CHEB_NODES)
+_GENERATOR, _WEIGHTS = _collocation_generator(_CHEB_NODES)
 
 
 def _eigen_roots(alpha: float, beta: float, rect) -> np.ndarray:
@@ -320,14 +324,17 @@ def _eigen_roots(alpha: float, beta: float, rect) -> np.ndarray:
     Only the eigenvalues with ``Im >= 0`` within one unit of the rectangle
     are polished by Newton steps on D; the conjugates of the non-real
     results are added afterwards, so non-real roots come in exact pairs.
+    Newton converges only linearly to an m-fold root and stalls about 1e-8
+    from it; the mean of the m eigenvalues, polished by ``z - m D/D'``,
+    replaces all m iterates once ``|D'|`` is at rounding level.
     """
     a, b, c, d = rect
     gen = _GENERATOR.copy()
-    gen[0, 0] = -alpha
-    gen[0, -2] = beta
+    gen[0] = -beta * _WEIGHTS
+    gen[0, 0] -= alpha
     lam = np.linalg.eigvals(gen)
-    z = lam[(lam.imag >= 0.0) & (a - 1.0 < lam.real) & (lam.real < b + 1.0)
-            & (lam.imag < max(-c, d) + 1.0)]
+    z = lam = lam[(lam.imag >= 0.0) & (a - 1.0 < lam.real) & (lam.real < b + 1.0)
+                  & (lam.imag < max(-c, d) + 1.0)]
     with np.errstate(all="ignore"):
         for _ in range(20):
             dval, dpval = _d_pair(alpha, beta, z)
@@ -335,11 +342,18 @@ def _eigen_roots(alpha: float, beta: float, rect) -> np.ndarray:
             z = z - step
             # a step below 1e-13 leaves the root at the rounding floor, which
             # the caller's |chi| check relies on; non-finite iterates from
-            # diverging starts do not hold the loop and are dropped below
+            # diverging starts do not hold the loop and fail every test below
             if not np.any(np.abs(step) > 1e-13 * (1.0 + np.abs(z))):
                 break
-    z = z[np.isfinite(z)]
-    z = np.concatenate([z, z[z.imag != 0.0].conj()])
+        z, lam = [np.concatenate([v, v[z.imag != 0.0].conj()]) for v in (z, lam)]
+        near = np.abs(z[:, None] - z[None, :]) <= 1e-6 * (1.0 + np.abs(z))
+        for row in near[near.sum(axis=1) > 1]:
+            zc = lam[row].mean(keepdims=True)
+            for _ in range(8):  # no step once |D'| is at rounding level
+                dval, dpval = _d_pair(alpha, beta, zc)
+                big = np.abs(dpval) > _MULTIPLE_DP * (1.0 + beta)
+                zc = np.where(big, zc - row.sum() * dval / dpval, zc)
+            z[row] = np.where(big, z[row], zc)  # a simple root stays as polished
     return z[(a <= z.real) & (z.real <= b) & (c <= z.imag) & (z.imag <= d)]
 
 
@@ -378,16 +392,18 @@ def rightmost_roots(params: StabilityParams, rect=None) -> list[complex]:
         raise RootFinderError(
             f"located {len(roots)} roots but the winding count is {count}"
         )
+    # two eigenvalues polished onto one simple root would hide a missed root
     gaps = np.abs(roots[:, None] - roots[None, :])
     np.fill_diagonal(gaps, math.inf)
-    if count > 1 and np.min(gaps) <= 1e-9:
-        raise RootFinderError("two eigenvalues were polished onto the same root")
+    same = roots[np.min(gaps, axis=1, initial=math.inf) <= 1e-9]
+    if len(same) and np.any(np.abs(_d_pair(alpha, beta, same)[1]) > _MULTIPLE_DP * (1 + beta)):
+        raise RootFinderError("two eigenvalues were polished onto the same simple root")
     resid = np.abs(char_eval(params, roots))
     if count and np.max(resid) > _CHI_RESIDUAL_TOL:
         raise RootFinderError(f"roots {roots} have characteristic residuals {resid}")
 
-    # a root of D at zero (a double zero root) is the zero root, reported once
-    final = [complex(z) for z in roots
+    # a multiple root is reported once; a root of D at zero is the zero root
+    final = [complex(z) for z in np.unique(roots)
              if abs(z) > 1e-9 and a <= z.real <= b and c <= z.imag <= d]
     if a < 0.0 < b and c < 0.0 < d:
         final.append(0j)

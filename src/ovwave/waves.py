@@ -27,7 +27,7 @@ import numpy as np
 
 from ._scalar import bisect, newton_polish
 from .errors import DomainError, NumericalError, ParameterError, SingularityError
-from .ovf import OvfSpec
+from .ovf import OvfSpec, _eval_on
 
 __all__ = [
     "BRANCH1",
@@ -145,7 +145,7 @@ def find_constant_speeds(spec: OvfSpec, h: float) -> list[WavefrontPoint]:
     grid = d_s + np.geomspace(g_lo, g_hi, max(64, int(48 * decades)))
     nodes = np.unique(np.concatenate([grid, np.asarray(stationary)]))
 
-    vals = np.array([residual(c) for c in nodes])
+    vals = h * _eval_on(spec.eval, nodes) - nodes
     roots: list[float] = []
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
         c = bisect(residual, nodes[i], nodes[i + 1], f_lo=vals[i], f_hi=vals[i + 1],

@@ -222,6 +222,15 @@ def test_missing_config_file_exits_config(tmp_path):
     assert rc == 2
 
 
+def test_stability_region_takes_no_config(tmp_path):
+    # the region depends on (alpha, beta) only; there is no model to configure
+    with pytest.raises(SystemExit) as exc:
+        main(["stability-region", "--config", str(tmp_path / "missing.ini"),
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_code_mapping(monkeypatch, tmp_path):
     monkeypatch.setattr(
         cli, "run_example", lambda *a, **k: (_ for _ in ()).throw(ow.NumericalError("x"))

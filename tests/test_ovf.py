@@ -65,6 +65,23 @@ def test_scalar_and_array_evaluation_agree(vq100):
         assert vq100.eval(float(si)) == vi
 
 
+@pytest.mark.parametrize("v_max,d_s", [(1.0, 0.0), (100.0, 1.0), (2.841, 0.37)])
+def test_scalar_path_matches_array_path_bit_for_bit(v_max, d_s):
+    spec = ow.make_vq(v_max, d_s)
+    headways = [d_s - 2.0, d_s - 1e-12, d_s, d_s + 1e-12, d_s + 0.25, d_s + 1.0,
+                d_s + 1.0 / 3.0, d_s + math.pi / 4.0, d_s + math.e, d_s + 7.897971988133104,
+                d_s + 1e4, 0, 1, 3]
+    for fn in (spec.eval, spec.deriv, spec.deriv2):
+        ref = fn(np.array(headways, dtype=float))
+        for s, want in zip(headways, ref):
+            inputs = [float(s), np.float64(s), np.array(float(s))]
+            if float(s).is_integer():
+                inputs.append(int(s))
+            for x in inputs:
+                got = fn(x)
+                assert np.float64(got).tobytes() == want.tobytes(), (fn, x, got, want)
+
+
 def test_make_vq_rejects_bad_parameters():
     with pytest.raises(ow.ParameterError):
         ow.make_vq(0.0, 0.0)

@@ -231,6 +231,59 @@ def test_roots_certified_paired_and_bounded(alpha, beta):
         assert (ow.region_classify(params) == ow.OUTSIDE_S) == has_unstable, roots
 
 
+@settings(deadline=None, derandomize=True, database=None, max_examples=60)
+@given(alpha=st.floats(-8.0, 0.0), beta=st.floats(0.0, 100.0))
+def test_roots_match_the_count_on_a_deeper_rectangle(alpha, beta):
+    # a root near the contour makes the count grow the rectangle slightly;
+    # the roots are compared on the rectangle the count used
+    count, rect = stability._count_with_nudge(alpha, beta, (-5.0, 5.0, -30.0, 30.0))
+    roots = ow.rightmost_roots(P(alpha, beta), rect=rect)
+    nonzero = [z for z in roots if z != 0]
+    # D = chi/lambda keeps any root at 0 in its count, which is reported as
+    # the zero root; elsewhere roots are simple away from measure-zero curves
+    if abs(alpha + beta) > 1e-6:
+        assert len(nonzero) == count
+    else:
+        assert count - 2 <= len(nonzero) <= count
+    for z in roots:
+        assert abs(ow.char_eval(P(alpha, beta), z)) <= 1e-10
+        if z.imag != 0.0:
+            assert z.conjugate() in roots
+
+
+def test_triple_zero_root_at_the_corner_is_reported_once():
+    # chi = lambda^3/3 + O(lambda^4) at (-2, 2): D = chi/lambda has a double root at 0
+    roots = ow.rightmost_roots(P(-2.0, 2.0))
+    assert [z for z in roots if abs(z) < 1e-3] == [0j]
+
+
+def test_double_real_root_is_reported_once():
+    # D(z) = D'(z) = 0 at z0 = -0.7 for beta = -1/E'(z0), alpha = -z0 - beta E(z0)
+    # with E(z) = (1 - exp(-z))/z
+    z0 = -0.7
+    e = (1.0 - math.exp(-z0)) / z0
+    e_d = (math.exp(-z0) * (1.0 + z0) - 1.0) / (z0 * z0)
+    beta = -1.0 / e_d
+    alpha = -z0 - beta * e
+    roots = ow.rightmost_roots(P(alpha, beta), rect=(-2.0, 1.0, -5.0, 5.0))
+    near = [z for z in roots if abs(z - z0) < 1e-3]
+    assert len(near) == 1
+    assert abs(near[0] - z0) <= 1e-12
+
+
+def test_simple_root_polished_twice_fails_the_certificate(monkeypatch):
+    found = stability._eigen_roots
+
+    def one_root_twice(*args):
+        roots = found(*args)
+        roots[1] = roots[0]
+        return roots
+
+    monkeypatch.setattr(stability, "_eigen_roots", one_root_twice)
+    with pytest.raises(ow.RootFinderError):
+        ow.rightmost_roots(P(-1.5, 2.8245))
+
+
 def test_dropped_eigenvalue_root_fails_the_certificate(monkeypatch):
     found = stability._eigen_roots
     monkeypatch.setattr(stability, "_eigen_roots", lambda *args: found(*args)[1:])

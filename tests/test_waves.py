@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ovwave as ow
 from conftest import quadratic_speeds
@@ -132,3 +134,43 @@ def test_branch_derivative_singular_at_tangency(vq100):
 def test_find_constant_speeds_validates_h(vq100):
     with pytest.raises(ow.ParameterError):
         ow.find_constant_speeds(vq100, 0.0)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=150)
+@given(
+    v_max=st.floats(0.5, 100.0),
+    d_s=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    h_factor=st.floats(0.2, 30.0),
+)
+def test_speeds_and_branches_property(v_max, d_s, h_factor):
+    spec = ow.make_vq(v_max, d_s)
+    h_star = ow.critical_pair(spec).h_star
+    h = h_factor * h_star
+    points = ow.find_constant_speeds(spec, h)
+    # an OVF that takes only scalars is evaluated point by point on the grid
+    scalar_only = dataclasses.replace(spec, eval=lambda s: spec.eval(float(s)))
+    assert ow.find_constant_speeds(scalar_only, h) == points
+    for p in points:
+        assert abs(h * spec.eval(p.c) - p.c) <= 1e-10 * max(1.0, p.c)
+        assert p.slope_product == h * spec.deriv(p.c)
+        if p.slope_product > 1.0 + 1e-8:
+            assert p.branch == ow.BRANCH1
+        elif p.slope_product < 1.0 - 1e-8:
+            assert p.branch == ow.BRANCH2
+        else:
+            assert p.branch == ow.DEGENERATE
+    # every speed satisfies h = c/V(c) >= h_star
+    if h_factor < 1.0 - 1e-6:
+        assert points == []
+    if h_factor <= 1.0 + 1e-6:
+        return
+    assert [p.branch for p in points] == [ow.BRANCH1, ow.BRANCH2]
+    for which, p in ((1, points[0]), (2, points[1])):
+        q = ow.branch_eval(spec, h, which)
+        assert q.branch == p.branch
+        assert q.c == pytest.approx(p.c, rel=1e-12)
+    if d_s == 0.0:
+        # h v c^2 / (1 + c^2) = c: c^2 - h v c + 1 = 0, roots with product 1
+        big = 0.5 * (h * v_max + math.sqrt((h * v_max) ** 2 - 4.0))
+        assert points[1].c == pytest.approx(big, rel=1e-12)
+        assert points[0].c == pytest.approx(1.0 / big, rel=1e-12)
