@@ -210,20 +210,25 @@ def run_perturbed(cfg: ExperimentConfig, out_dir) -> dict:
     return record
 
 
+def _h_grid(h_lo: float, h_hi: float, samples: int) -> np.ndarray:
+    """``samples`` evenly spaced h values from ``h_lo`` to ``h_hi``."""
+    if not (h_lo < h_hi) or samples < 2:
+        raise ParameterError(f"invalid h range ({h_lo}, {h_hi}, {samples} samples)")
+    return np.linspace(h_lo, h_hi, samples)
+
+
 def run_sweep(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
               out_dir) -> dict:
     """Classify branch points across an h-range and locate boundary crossings."""
     spec = cfg.build_ovf()
     cp = critical_pair(spec)
-    if not (h_lo < h_hi) or samples < 2:
-        raise ParameterError(f"invalid sweep range ({h_lo}, {h_hi}, {samples})")
+    hs = _h_grid(h_lo, h_hi, samples)
     if h_lo <= cp.h_star:
         raise DomainError(
             f"sweep range must lie above h_star={cp.h_star}, got h_lo={h_lo}"
         )
 
     rows = []
-    hs = np.linspace(h_lo, h_hi, samples)
     for h in hs:
         p1 = branch_eval(spec, float(h), 1)
         p2 = branch_eval(spec, float(h), 2)
@@ -284,7 +289,7 @@ def _cmd_branches(args) -> int:
     cfg = _load_config(args)
     spec = cfg.build_ovf()
     cp = critical_pair(spec)
-    hs = np.linspace(args.h_min, args.h_max, args.samples)
+    hs = _h_grid(args.h_min, args.h_max, args.samples)
     lines = [
         f"# c_star={_fmt(cp.c_star)} h_star={_fmt(cp.h_star)} h_hat={_fmt(cp.h_hat)}",
         "h,c1,c2,hVp_c1,hVp_c2",
@@ -304,6 +309,8 @@ def _cmd_branches(args) -> int:
 
 
 def _cmd_stability_region(args) -> int:
+    if args.grid_n < 1:
+        raise ParameterError(f"grid_n must be at least 1, got {args.grid_n}")
     out = Path(args.out)
     lines = ["curve,param,alpha,beta"]
     for curve, param, alpha, beta in region_boundary_samples(args.boundary_n):
@@ -352,6 +359,8 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    if args.n_times < 1:
+        raise ParameterError(f"n_times must be at least 1, got {args.n_times}")
     cfg = _load_config(args)
     spec = cfg.build_ovf()
     speed = cfg.resolve_speed(spec)

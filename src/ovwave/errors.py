@@ -35,7 +35,7 @@ class StepSizeError(NumericalError):
 
 
 class RootFinderError(NumericalError):
-    """Located complex roots could not be reconciled with the winding count."""
+    """Located complex roots could not be reconciled with the phase count."""
 
 
 class SingularityError(NumericalError):

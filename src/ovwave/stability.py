@@ -23,15 +23,16 @@ Roots come from the eigenvalues of a Chebyshev collocation of the
 infinitesimal generator of ``y' = -alpha y - beta * (integral of y over
 [t-1, t])``, solved by ``y = x'`` (Breda, Maset & Vermiglio 2005), polished
 by Newton steps.  Its characteristic function is the zero-deflated
-``D = chi(lambda)/lambda``.  One argument-principle count certifies them:
-D'/D is integrated around the search rectangle with adaptively refined
-trapezoid sums, cross-checked against the accumulated phase, and must equal
-the number of roots found, an m-fold root counting m times; roots may
-coincide only where D' vanishes to rounding level.
+``D = chi(lambda)/lambda``.  One phase count certifies them: the roots of D
+right of a vertical line, counted from the phase of D along it (Stepan's
+formula), must be the roots found there, an m-fold root counting m times;
+the line passes through the widest root-free gap left of the requested real
+part, and roots may coincide only where D' vanishes to rounding level.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -218,7 +219,7 @@ def region_boundary_samples(n: int = 200) -> list[tuple[str, float, float, float
     return rows
 
 
-# -- deflated characteristic function and winding counts -------------------
+# -- deflated characteristic function and the phase count -----------------
 
 
 def _d_pair(alpha: float, beta: float, z):
@@ -242,58 +243,35 @@ def _d_pair(alpha: float, beta: float, z):
     return d, dp
 
 
-def _rect_boundary(rect, m: int):
-    a, b, c, d = rect
-    corners = np.array([complex(a, c), complex(b, c), complex(b, d), complex(a, d),
-                        complex(a, c)])
-    sides = corners[:-1, None] + np.diff(corners)[:, None] * (np.arange(m) / m)
-    return np.append(sides.ravel(), corners[0])
+def _half_plane_count(alpha: float, beta: float, s: float) -> int:
+    """Number of roots of D with ``Re > s``, from the phase of D along ``Re z = s``.
 
-
-def _winding(alpha: float, beta: float, rect) -> int:
-    """Number of deflated roots inside a rectangle, certified two ways.
-
-    The trapezoid sum of D'/D around the boundary must come out integer to
-    1e-3 and agree with the accumulated phase of D, whose steps must all
-    stay well below pi.  Raises :class:`RootFinderError` when a root sits
-    too close to the contour for the count to converge.
+    For ``|z| >= w``, ``|D/z - 1| < 1``, so D turns like z there, and with
+    ``delta`` the phase change of ``D(s + i omega)`` for omega from 0 to
+    infinity the argument principle on the half-plane gives
+    ``N = 1/2 - delta/pi`` (Stepan 1989); conjugate symmetry covers omega < 0.
+    delta is the sum of principal phase steps on [0, w] plus the closed-form
+    tail beyond w.  The count is certified when every step stays below
+    0.5 rad and two successive grids agree; otherwise a root lies on or near
+    the line and :class:`RootFinderError` is raised.
     """
+    w = 0.5 * (abs(alpha) + math.sqrt(alpha * alpha + 4.0 * beta * (1.0 + math.exp(-s)))) + 1.0
+    top = complex(s, w)
+    tail = 0.5 * math.pi - cmath.phase(top) - cmath.phase(_d_pair(alpha, beta, top)[0] / top)
+    last = None
     for m in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
-        poly = _rect_boundary(rect, m)
-        dvals, dpvals = _d_pair(alpha, beta, poly)
-        if np.min(np.abs(dvals)) == 0.0:
-            raise RootFinderError("root on the counting contour")
-        g = dpvals / dvals
-        dz = np.diff(poly)
-        quad = np.sum(0.5 * (g[:-1] + g[1:]) * dz) / (2j * math.pi)
-        dphi = np.angle(dvals[1:] / dvals[:-1])
-        n_phase = float(np.sum(dphi)) / (2.0 * math.pi)
-        n_round = int(round(n_phase))
-        if (
-            np.max(np.abs(dphi)) < 1.4
-            and abs(n_phase - n_round) < 1e-3
-            and abs(quad.real - n_round) < 1e-3
-            and abs(quad.imag) < 1e-3
-        ):
-            return n_round
-    raise RootFinderError(
-        f"winding count did not converge on rectangle {rect}; "
-        "a root may lie on the boundary"
-    )
-
-
-def _count_with_nudge(alpha: float, beta: float, rect):
-    """Count roots, growing the rectangle slightly if the contour hits one."""
-    a, b, c, d = rect
-    w, hgt = b - a, d - c
-    for bump in (0.0, 3.7e-3, 8.1e-3, 1.73e-2):
-        r = (a - bump * w, b + bump * w, c - bump * hgt, d + bump * hgt)
-        try:
-            return _winding(alpha, beta, r), r
-        except RootFinderError:
+        dvals = _d_pair(alpha, beta, s + 1j * w * (np.arange(m + 1) / m))[0]
+        with np.errstate(all="ignore"):  # a zero on the line gives NaN steps
+            steps = np.angle(dvals[1:] / dvals[:-1])
+        if not np.max(np.abs(steps)) < 0.5:
+            last = None
             continue
+        count = round(0.5 - (float(np.sum(steps)) + tail) / math.pi)
+        if count == last:
+            return count
+        last = count
     raise RootFinderError(
-        f"could not obtain a stable winding count near rectangle {rect}"
+        f"the phase count on Re z = {s} did not converge; a root may lie on the line"
     )
 
 
@@ -318,23 +296,21 @@ def _collocation_generator(n: int) -> tuple[np.ndarray, np.ndarray]:
 _GENERATOR, _WEIGHTS = _collocation_generator(_CHEB_NODES)
 
 
-def _eigen_roots(alpha: float, beta: float, rect) -> np.ndarray:
-    """Roots of D in a rectangle, from the eigenvalues of the generator.
+def _eigen_roots(alpha: float, beta: float, lo: float) -> np.ndarray:
+    """Roots of D with ``Re >= lo``, from the eigenvalues of the generator.
 
-    Only the eigenvalues with ``Im >= 0`` within one unit of the rectangle
-    are polished by Newton steps on D; the conjugates of the non-real
-    results are added afterwards, so non-real roots come in exact pairs.
+    Only the eigenvalues with ``Im >= 0`` and ``Re > lo - 1`` are polished
+    by Newton steps on D; the conjugates of the non-real results are added
+    afterwards, so non-real roots come in exact pairs.
     Newton converges only linearly to an m-fold root and stalls about 1e-8
     from it; the mean of the m eigenvalues, polished by ``z - m D/D'``,
     replaces all m iterates once ``|D'|`` is at rounding level.
     """
-    a, b, c, d = rect
     gen = _GENERATOR.copy()
     gen[0] = -beta * _WEIGHTS
     gen[0, 0] -= alpha
     lam = np.linalg.eigvals(gen)
-    z = lam = lam[(lam.imag >= 0.0) & (a - 1.0 < lam.real) & (lam.real < b + 1.0)
-                  & (lam.imag < max(-c, d) + 1.0)]
+    z = lam = lam[(lam.imag >= 0.0) & (lam.real > lo - 1.0)]
     with np.errstate(all="ignore"):
         for _ in range(20):
             dval, dpval = _d_pair(alpha, beta, z)
@@ -354,43 +330,39 @@ def _eigen_roots(alpha: float, beta: float, rect) -> np.ndarray:
                 big = np.abs(dpval) > _MULTIPLE_DP * (1.0 + beta)
                 zc = np.where(big, zc - row.sum() * dval / dpval, zc)
             z[row] = np.where(big, z[row], zc)  # a simple root stays as polished
-    return z[(a <= z.real) & (z.real <= b) & (c <= z.imag) & (z.imag <= d)]
+    return z[z.real >= lo]
 
 
-def rightmost_roots(params: StabilityParams, rect=None) -> list[complex]:
-    """All characteristic roots in a rectangle, count-certified.
+def rightmost_roots(params: StabilityParams, sigma: float = -0.5) -> list[complex]:
+    """All characteristic roots with real part above ``sigma``, count-certified.
 
     The ever-present zero root is handled by deflation so it cannot
-    contaminate counts of nearby roots; it is reported whenever the
-    rectangle contains the origin.  Each returned root satisfies
-    ``|chi(root)| <= 1e-10`` and non-real roots come in conjugate pairs.
-    Roots are sorted by descending real part.  The default rectangle
-    reaches past every root with nonnegative real part.
+    contaminate counts of nearby roots; it is reported whenever
+    ``sigma < 0``.  Each returned root satisfies ``|chi(root)| <= 1e-10``
+    and non-real roots come in conjugate pairs.  Roots are sorted by
+    descending real part.
 
     Raises
     ------
     ParameterError
-        For a malformed rectangle or a left edge at or below -20.
+        For ``sigma`` below -2, where the collocation no longer resolves
+        every root, or not a number.
     RootFinderError
-        When located roots cannot be reconciled with the winding count.
+        When located roots cannot be reconciled with the phase count.
     """
+    if not -2.0 <= sigma < math.inf:
+        raise ParameterError(f"sigma must be a number in [-2, inf), got {sigma}")
     alpha, beta = params.alpha, params.beta
-    if rect is None:
-        # for Re(lambda) >= 0, |1 - exp(-lambda)| <= 2, so a root satisfies
-        # |lambda| (|lambda| - |alpha|) <= 2 beta, i.e. |lambda| <= r - 1
-        r = 0.5 * (abs(alpha) + math.sqrt(alpha * alpha + 8.0 * beta)) + 1.0
-        rect = (-0.5, max(5.0, r), -max(30.0, r), max(30.0, r))
-    a, b, c, d = (float(x) for x in rect)
-    if not (a < b and c < d):
-        raise ParameterError(f"malformed search rectangle {rect}")
-    if a <= -20.0:
-        raise ParameterError("rectangle left edge must exceed -20")
-
-    count, used = _count_with_nudge(alpha, beta, (a, b, c, d))
-    roots = _eigen_roots(alpha, beta, used)
+    roots = _eigen_roots(alpha, beta, sigma - 0.5)
+    # count on the line through the widest root-free gap of [sigma - 0.5, sigma]
+    edges = np.sort(np.r_[sigma - 0.5, roots.real[roots.real < sigma], sigma])
+    i = int(np.argmax(np.diff(edges)))
+    line = 0.5 * (edges[i] + edges[i + 1])
+    roots = roots[roots.real > line]
+    count = _half_plane_count(alpha, beta, line)
     if len(roots) != count:
         raise RootFinderError(
-            f"located {len(roots)} roots but the winding count is {count}"
+            f"located {len(roots)} roots right of Re z = {line} but the phase count is {count}"
         )
     # two eigenvalues polished onto one simple root would hide a missed root
     gaps = np.abs(roots[:, None] - roots[None, :])
@@ -403,9 +375,8 @@ def rightmost_roots(params: StabilityParams, rect=None) -> list[complex]:
         raise RootFinderError(f"roots {roots} have characteristic residuals {resid}")
 
     # a multiple root is reported once; a root of D at zero is the zero root
-    final = [complex(z) for z in np.unique(roots)
-             if abs(z) > 1e-9 and a <= z.real <= b and c <= z.imag <= d]
-    if a < 0.0 < b and c < 0.0 < d:
+    final = [complex(z) for z in np.unique(roots) if abs(z) > 1e-9 and z.real > sigma]
+    if sigma < 0.0:
         final.append(0j)
     final.sort(key=lambda z: (-z.real, abs(z.imag), z.imag))
     return final
@@ -476,11 +447,10 @@ def hopf_crossing(spec: OvfSpec, h_lo: float, h_hi: float) -> tuple[float, float
         pt = branch_eval(spec, h, BRANCH1)
         if pt is None:
             raise ParameterError(f"branch 1 undefined at h={h}")
-        beta = h * h * float(spec.deriv(pt.c))
         bc = c1_boundary_beta(-h)
         if bc is None:
             return math.inf  # alpha below -2: everything there is outside
-        return beta - bc
+        return stability_params(spec, pt).beta - bc
 
     s_lo = signed_offset(h_lo)
     s_hi = signed_offset(h_hi)
@@ -495,8 +465,7 @@ def hopf_crossing(spec: OvfSpec, h_lo: float, h_hi: float) -> tuple[float, float
                      xtol=1e-13 * max(1.0, h_hi))
 
     omega = _c1_nu_from_alpha(-h_H)
-    pt = branch_eval(spec, h_H, "branch1")
-    params = StabilityParams(alpha=-h_H, beta=h_H * h_H * float(spec.deriv(pt.c)))
+    params = stability_params(spec, branch_eval(spec, h_H, BRANCH1))
     resid = abs(char_eval(params, 1j * omega))
     if resid > 1e-8:
         raise NumericalError(

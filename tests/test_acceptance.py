@@ -120,7 +120,7 @@ def test_criterion_06_root_finder():
             hi = mid
     oracle_root = 0.5 * (lo + hi)
 
-    roots = ow.rightmost_roots(params, rect=(-0.05, 1.0, -5.0, 5.0))
+    roots = ow.rightmost_roots(params, sigma=-0.05)
     real_pos = [z for z in roots if z.real > 1e-6]
     checks = {
         "one strictly unstable root": len(real_pos) == 1,

@@ -206,6 +206,17 @@ def test_sweep_invalid_range_exits_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["branches", "--v-max", "100", "--h-min", "0.1", "--h-max", "0.3", "--samples", "-1"],
+    ["branches", "--v-max", "100", "--h-min", "2", "--h-max", "1"],
+    ["stability-region", "--grid-n", "-1"],
+    ["lattice", "--v-max", "100", "--h", "0.2", "--branch", "1", "--n-times", "-3"],
+])
+def test_bad_counts_and_ranges_exit_config(tmp_path, args):
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_below_onset_exits_config(tmp_path, capsys):
     rc = main([
         "sweep", "--v-max", "2.841", "--d-s", "0",

@@ -151,7 +151,7 @@ def test_boundary_labels():
 
 def test_roots_for_unstable_reference_point():
     params = P(-0.2, 0.0010026)
-    roots = ow.rightmost_roots(params, rect=(-0.05, 1.0, -5.0, 5.0))
+    roots = ow.rightmost_roots(params, sigma=-0.05)
     assert len(roots) == 2
     assert any(z == 0 for z in roots)
     real_pos = [z for z in roots if z.real > 0]
@@ -162,7 +162,7 @@ def test_roots_for_unstable_reference_point():
 
 
 def test_no_unstable_roots_for_stable_reference_point():
-    assert ow.rightmost_roots(P(-0.2, 0.39899), rect=(1e-6, 5.0, -20.0, 20.0)) == []
+    assert ow.rightmost_roots(P(-0.2, 0.39899), sigma=1e-6) == []
 
 
 def test_zero_root_reported_in_default_window():
@@ -174,7 +174,7 @@ def test_zero_root_reported_in_default_window():
 def test_boundary_point_has_conjugate_imaginary_pair():
     alpha = -1.5
     params = P(alpha, ow.c1_boundary_beta(alpha))
-    roots = ow.rightmost_roots(params, rect=(-0.5, 1.0, -5.0, 5.0))
+    roots = ow.rightmost_roots(params, sigma=-0.5)
     pair = sorted((z for z in roots if abs(z.imag) > 1e-6), key=lambda z: z.imag)
     assert len(pair) == 2
     assert pair[0] == pair[1].conjugate()
@@ -183,10 +183,25 @@ def test_boundary_point_has_conjugate_imaginary_pair():
 
 
 def test_rightmost_roots_validates_rectangle():
+    # left of Re = -2 the collocation no longer resolves every root
     with pytest.raises(ow.ParameterError):
-        ow.rightmost_roots(P(-0.2, 0.4), rect=(-25.0, 5.0, -5.0, 5.0))
+        ow.rightmost_roots(P(-0.2, 0.4), sigma=-2.5)
     with pytest.raises(ow.ParameterError):
-        ow.rightmost_roots(P(-0.2, 0.4), rect=(1.0, 0.0, -5.0, 5.0))
+        ow.rightmost_roots(P(-0.2, 0.4), sigma=math.nan)
+
+
+def test_count_on_a_line_through_a_root_fails():
+    with pytest.raises(ow.RootFinderError):
+        stability._half_plane_count(-0.2, 0.0010026, 0.1990908978536169)
+
+
+@pytest.mark.parametrize("shift", [0.25, 0.2509091021463831, 0.5])
+def test_counting_line_is_placed_away_from_a_root(shift):
+    # the window [sigma - 0.5, sigma] holds the real root 0.199 (shift 0.25
+    # puts it at the window's middle, 0.5 at its left end; sigma = 0.45
+    # between them); a line through it could not be counted on
+    sigma = 0.1990908978536169 + shift
+    assert ow.rightmost_roots(P(-0.2, 0.0010026), sigma=sigma) == []
 
 
 def test_classifier_and_roots_agree_on_small_grid():
@@ -202,8 +217,7 @@ def test_classifier_and_roots_agree_on_small_grid():
 
 
 def test_default_window_reaches_branch2_root_beyond_five(tmp_path, capsys):
-    # on branch 2 the unstable real root sits near lambda = h, so the default
-    # search rectangle must reach well past Re = 5 here
+    # on branch 2 the unstable real root sits near lambda = h, well past Re = 5
     rc = main(["classify", "--v-max", "1", "--d-s", "0", "--h", "6", "--branch", "2",
                "--out", str(tmp_path)])
     assert rc == 0
@@ -234,11 +248,14 @@ def test_roots_certified_paired_and_bounded(alpha, beta):
 @settings(deadline=None, derandomize=True, database=None, max_examples=60)
 @given(alpha=st.floats(-8.0, 0.0), beta=st.floats(0.0, 100.0))
 def test_roots_match_the_count_on_a_deeper_rectangle(alpha, beta):
-    # a root near the contour makes the count grow the rectangle slightly;
-    # the roots are compared on the rectangle the count used
-    count, rect = stability._count_with_nudge(alpha, beta, (-5.0, 5.0, -30.0, 30.0))
-    roots = ow.rightmost_roots(P(alpha, beta), rect=rect)
-    nonzero = [z for z in roots if z != 0]
+    # the count is taken on a line through the widest gap between the
+    # reported real parts in [-2, -1.5], away from every root
+    roots = ow.rightmost_roots(P(alpha, beta), sigma=-2.0)
+    edges = sorted([-2.0, -1.5] + [z.real for z in roots if z.real < -1.5])
+    lo, hi = max(zip(edges, edges[1:]), key=lambda e: e[1] - e[0])
+    line = 0.5 * (lo + hi)
+    count = stability._half_plane_count(alpha, beta, line)
+    nonzero = [z for z in roots if z != 0 and z.real > line]
     # D = chi/lambda keeps any root at 0 in its count, which is reported as
     # the zero root; elsewhere roots are simple away from measure-zero curves
     if abs(alpha + beta) > 1e-6:
@@ -265,7 +282,7 @@ def test_double_real_root_is_reported_once():
     e_d = (math.exp(-z0) * (1.0 + z0) - 1.0) / (z0 * z0)
     beta = -1.0 / e_d
     alpha = -z0 - beta * e
-    roots = ow.rightmost_roots(P(alpha, beta), rect=(-2.0, 1.0, -5.0, 5.0))
+    roots = ow.rightmost_roots(P(alpha, beta), sigma=-2.0)
     near = [z for z in roots if abs(z - z0) < 1e-3]
     assert len(near) == 1
     assert abs(near[0] - z0) <= 1e-12
