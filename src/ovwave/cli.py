@@ -30,7 +30,6 @@ from .errors import (
 )
 from .lattice import lattice_to_csv, wavefront_to_lattice
 from .solver import (
-    Segment,
     _acceleration,
     _fmt,
     _write_lines,
@@ -55,7 +54,10 @@ EXIT_CONSISTENCY = 4
 EXAMPLES = {
     "example1": {"v_max": 100.0, "d_s": 0.0, "h": 0.2, "branch": 1, "t_end": 40.0},
     "example2": {"v_max": 100.0, "d_s": 0.0, "h": 0.2, "branch": 2, "t_end": 200.0},
-    "example3": {"v_max": 2.841, "d_s": 0.0, "h": 1.5, "branch": 1, "t_end": 300.0},
+    # rounding alone sets off example 3's instability too slowly to show the
+    # oscillation by t = 300; a speed 1e-8 below the wavefront's seeds it
+    "example3": {"v_max": 2.841, "d_s": 0.0, "h": 1.5, "branch": 1, "t_end": 300.0,
+                 "speed_offset": -1e-8},
 }
 
 
@@ -100,19 +102,13 @@ def measure_oscillation(traj, spec, h: float, c: float, n_cycles: int = 10,
     sgn = np.sign(acc)
     flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     kinds = ["max" if acc[i] > 0 else "min" for i in flips]
-    t_ext = []
-    v_ext = []
-    for i in flips:
-        tc = t[i] - acc[i] * (t[i + 1] - t[i]) / (acc[i + 1] - acc[i])
-        t_ext.append(float(tc))
-        v_ext.append(float(traj(tc)[1]))
+    t_ext = t[flips] - acc[flips] * (t[flips + 1] - t[flips]) / (acc[flips + 1] - acc[flips])
+    v_ext = traj(t_ext)[:, 1]
 
     amplitudes = []
-    amp_times = []
     for k in range(len(flips) - 1):
         if kinds[k] == "max" and kinds[k + 1] == "min":
             amplitudes.append(v_ext[k] - v_ext[k + 1])
-            amp_times.append(t_ext[k])
 
     third = max(1, t.size // 3)
     early = float(np.max(dev[:third]))
@@ -142,8 +138,9 @@ def run_example(name: str, out_dir, t_end: float | None = None,
                 dt: float | None = None) -> dict:
     """Reproduce one of the three reference experiments.
 
-    Integrates the quasi-stationary history of the selected branch point,
-    classifies it, and writes the time series plus a JSON verdict bundle.
+    Integrates the quasi-stationary history of the selected branch point
+    (at the example's speed offset), classifies it, and writes the time
+    series plus a JSON verdict bundle.
     """
     if name not in EXAMPLES:
         raise ParameterError(f"unknown example {name!r}; use example1..example3")
@@ -153,10 +150,8 @@ def run_example(name: str, out_dir, t_end: float | None = None,
     spec = cfg.build_ovf()
     point = branch_eval(spec, cfg.h, cfg.branch)
     verdict = classify_wavefront(spec, point)
-    traj = integrate(
-        spec, cfg.h, Segment.quasi_stationary(point.c, cfg.offset),
-        cfg.t_end, cfg.tol_rel, cfg.tol_abs,
-    )
+    traj = integrate(spec, cfg.h, cfg.build_segment(point.c), cfg.t_end,
+                     cfg.tol_rel, cfg.tol_abs)
 
     out_dir = Path(out_dir)
     series = out_dir / f"{name}_series.csv"

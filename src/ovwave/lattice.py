@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rk23 import Rk23Driver
+from ._rk import RkDriver
 from .errors import DomainError, ParameterError
 from .ovf import OvfSpec
 from .solver import _check_tolerances, _fmt, _write_lines
@@ -151,7 +151,7 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
         acc = value(gaps) - v
         return np.concatenate([v, acc])
 
-    driver = Rk23Driver(0.0, init.T.ravel(), float(t_end), tol_rel, tol_abs).run(f)
+    driver = RkDriver(0.0, init.T.ravel(), float(t_end), tol_rel, tol_abs).run(f)
 
     if times is None:
         times = np.linspace(0.0, float(t_end), 200)

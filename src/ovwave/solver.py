@@ -11,12 +11,13 @@ jumps propagate from the initial segment at whole numbers; the mesh is
 forced onto t = 1, 2, 3, 4, after which the solution is smooth enough for
 the integration order.
 
-The pair has two components, so :func:`integrate` runs the
-Bogacki-Shampine 3(2) steps of :mod:`ovwave._rk23` as one loop on Python
-floats, with the step-size rules shared with the vector driver.  The lagged
-value ``z(t-1)`` comes from the cubic Hermite interpolant on the accepted
-mesh, found by a cursor that walks forward with the lookups and steps back
-after a rejected step.
+The pair has two components, so :func:`integrate` runs the Dormand-Prince
+5(4) steps of :mod:`ovwave._rk` as one loop on Python floats, with the
+tableau and step-size rules shared with the vector driver.  Each accepted
+step keeps four coefficients per component of the pair's quartic
+continuous extension.  The lagged value ``z(t-1)`` comes from that dense
+output, found by a cursor that walks forward with the lookups and steps back
+after a rejected step; the same evaluator serves :class:`Trajectory`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,11 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._rk23 import MAX_STEPS, clip_step, hermite, initial_step, next_step
+from ._rk import (
+    A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
+    B1, B3, B4, B5, B6, C2, C3, C4, C5, E1, E3, E4, E5, E6, E7, MAX_STEPS,
+    clip_step, dense_coefficients, dense_output, initial_step, next_step, quartic,
+)
 from .errors import DomainError, NumericalError, ParameterError
 from .ovf import OvfSpec
 
@@ -148,20 +153,21 @@ class SolverStats:
 class Trajectory:
     """Dense numerical solution of the delayed pair on [-1, t_end].
 
-    Holds the accepted ``mesh`` with the states ``ys`` and slopes ``fs`` on
-    it and the solver ``counts`` (steps, rejected steps, RHS evaluations).
-    Calling the trajectory with a scalar or array of times returns the state
-    ``(z, z')``; times before t0 delegate to the initial segment.  The
-    velocity component equals the derivative of the position interpolant at
-    every mesh point by construction.  Instances are immutable by
-    convention and safe to share between threads.
+    Holds the accepted ``mesh`` with the states ``ys`` on it, the quartic
+    dense-output coefficients ``qs`` of each step (shape ``(len(mesh) - 1,
+    4, 2)``) and the solver ``counts`` (steps, rejected steps, RHS
+    evaluations).  Calling the trajectory with a scalar or array of times
+    returns the state ``(z, z')``; times before t0 delegate to the initial
+    segment.  The velocity component equals the derivative of the position
+    interpolant at every mesh point by construction.  Instances are
+    immutable by convention and safe to share between threads.
     """
 
-    def __init__(self, mesh, ys, fs, counts, phi: Segment, ovf: OvfSpec, h: float,
+    def __init__(self, mesh, ys, qs, counts, phi: Segment, ovf: OvfSpec, h: float,
                  tol_rel: float, tol_abs: float):
         self.mesh = mesh
         self._ys = ys
-        self._fs = fs
+        self._qs = qs
         self.t0 = float(mesh[0])
         self.t_end = float(mesh[-1])
         self.phi = phi
@@ -187,7 +193,7 @@ class Trajectory:
                 f"trajectory evaluated outside [{lo}, {hi}]"
             )
         flat = np.minimum(np.maximum(arr, lo), hi).ravel()
-        out = hermite(self.mesh, self._ys, self._fs, flat)
+        out = dense_output(self.mesh, self._ys, self._qs, flat)
         past = flat < self.t0
         if past.any():
             out[past] = self.phi(flat[past])
@@ -258,13 +264,14 @@ def integrate(spec: OvfSpec, h: float, phi: Segment, t_end: float,
               tol_rel: float = 1e-9, tol_abs: float = 1e-12) -> Trajectory:
     """Integrate the delayed pair from the initial segment up to ``t_end``.
 
-    Bogacki-Shampine 3(2) steps from t0 = 0: the stages, error norm and step
-    rules of :meth:`ovwave._rk23.Rk23Driver.run` written out for the two
-    components ``(z, v)`` on Python floats, with ``max_step = 1`` and the
-    mesh forced onto t = 1..4.  Lagged values come from the dense output of
-    completed history.  Raises :class:`StepSizeError` on step underflow,
-    :class:`NumericalError` when the step budget runs out and
-    :class:`DomainError` if the right-hand side turns non-finite.
+    Dormand-Prince 5(4) steps from t0 = 0: the stages, error norm, step
+    rules and dense-output coefficients of :meth:`ovwave._rk.RkDriver.run`
+    written out for the two components ``(z, v)`` on Python floats, with
+    ``max_step = 1`` and the mesh forced onto t = 1..4.  Lagged values come
+    from the dense output of completed history.  Raises
+    :class:`StepSizeError` on step underflow, :class:`NumericalError` when
+    the step budget runs out and :class:`DomainError` if the right-hand side
+    turns non-finite.
     """
     if not h > 0:
         raise ParameterError(f"h must be positive, got {h}")
@@ -290,21 +297,15 @@ def integrate(spec: OvfSpec, h: float, phi: Segment, t_end: float,
             j -= 1
         t_j = ts[j]
         dt = ts[j + 1] - t_j
-        th = (s - t_j) / dt
-        th2 = th * th
-        th3 = th2 * th
-        return (
-            (2.0 * th3 - 3.0 * th2 + 1.0) * zs[j]
-            + (th3 - 2.0 * th2 + th) * dt * vs[j]
-            + (-2.0 * th3 + 3.0 * th2) * zs[j + 1]
-            + (th3 - th2) * dt * vs[j + 1]
-        ) - z
+        k = 4 * j
+        return quartic(zs[j], dt, (s - t_j) / dt, qz[k], qz[k + 1], qz[k + 2], qz[k + 3]) - z
 
     t = 0.0
     a = accel(gap(t, z), v)
     if not (math.isfinite(v) and math.isfinite(a)):
         raise DomainError(f"non-finite right-hand side at t={t}")
-    ts, zs, vs, acs = (array("d", [x]) for x in (t, z, v, a))
+    ts, zs, vs = (array("d", [x]) for x in (t, z, v))
+    qz, qv = array("d"), array("d")  # four dense-output coefficients per step
     sz = tol_abs + tol_rel * abs(z)
     sv = tol_abs + tol_rel * abs(v)
     dt_prop = initial_step(_rms(z / sz, v / sv), _rms(v / sz, a / sv),
@@ -320,21 +321,28 @@ def integrate(spec: OvfSpec, h: float, phi: Segment, t_end: float,
         target = targets[target_i]
         dt, hit = clip_step(dt_prop, 1.0, t, target, t_end)
 
-        z2 = z + (0.5 * dt) * v
-        v2 = v + (0.5 * dt) * a
-        a2 = accel(gap(t + 0.5 * dt, z2), v2)
-        z3 = z + (0.75 * dt) * v2
-        v3 = v + (0.75 * dt) * a2
-        a3 = accel(gap(t + 0.75 * dt, z3), v3)
-        z_new = z + dt * ((2.0 / 9.0) * v + (1.0 / 3.0) * v2 + (4.0 / 9.0) * v3)
-        v_new = v + dt * ((2.0 / 9.0) * a + (1.0 / 3.0) * a2 + (4.0 / 9.0) * a3)
+        z2 = z + dt * (A21 * v)
+        v2 = v + dt * (A21 * a)
+        a2 = accel(gap(t + C2 * dt, z2), v2)
+        z3 = z + dt * (A31 * v + A32 * v2)
+        v3 = v + dt * (A31 * a + A32 * a2)
+        a3 = accel(gap(t + C3 * dt, z3), v3)
+        z4 = z + dt * (A41 * v + A42 * v2 + A43 * v3)
+        v4 = v + dt * (A41 * a + A42 * a2 + A43 * a3)
+        a4 = accel(gap(t + C4 * dt, z4), v4)
+        z5 = z + dt * (A51 * v + A52 * v2 + A53 * v3 + A54 * v4)
+        v5 = v + dt * (A51 * a + A52 * a2 + A53 * a3 + A54 * a4)
+        a5 = accel(gap(t + C5 * dt, z5), v5)
+        z6 = z + dt * (A61 * v + A62 * v2 + A63 * v3 + A64 * v4 + A65 * v5)
+        v6 = v + dt * (A61 * a + A62 * a2 + A63 * a3 + A64 * a4 + A65 * a5)
+        a6 = accel(gap(t + dt, z6), v6)
+        z_new = z + dt * (B1 * v + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6)
+        v_new = v + dt * (B1 * a + B3 * a3 + B4 * a4 + B5 * a5 + B6 * a6)
         t_new = target if hit else t + dt
         a_new = accel(gap(t_new, z_new), v_new)
-        nfev += 3
-        ez = dt * ((-5.0 / 72.0) * v + (1.0 / 12.0) * v2 + (1.0 / 9.0) * v3
-                   - (1.0 / 8.0) * v_new)
-        ev = dt * ((-5.0 / 72.0) * a + (1.0 / 12.0) * a2 + (1.0 / 9.0) * a3
-                   - (1.0 / 8.0) * a_new)
+        nfev += 6
+        ez = dt * (E1 * v + E3 * v3 + E4 * v4 + E5 * v5 + E6 * v6 + E7 * v_new)
+        ev = dt * (E1 * a + E3 * a3 + E4 * a4 + E5 * a5 + E6 * a6 + E7 * a_new)
         if not (math.isfinite(z_new) and math.isfinite(v_new)
                 and math.isfinite(ez) and math.isfinite(ev)):
             raise DomainError(f"non-finite right-hand side near t={t}")
@@ -346,19 +354,19 @@ def integrate(spec: OvfSpec, h: float, phi: Segment, t_end: float,
         if rejected_last:
             nreject += 1
             continue
+        qz.extend(dense_coefficients(v, v3, v4, v5, v6, v_new))
+        qv.extend(dense_coefficients(a, a3, a4, a5, a6, a_new))
         t, z, v, a = t_new, z_new, v_new, a_new
         ts.append(t)
         zs.append(z)
         vs.append(v)
-        acs.append(a)
         naccept += 1
         if hit:
             target_i = min(target_i + 1, len(targets) - 1)
 
-    vel = np.array(vs)
-    return Trajectory(np.array(ts), np.column_stack((np.array(zs), vel)),
-                      np.column_stack((vel, np.array(acs))), (naccept, nreject, nfev),
-                      phi, spec, h, tol_rel, tol_abs)
+    qs = np.stack((np.array(qz).reshape(-1, 4), np.array(qv).reshape(-1, 4)), axis=-1)
+    return Trajectory(np.array(ts), np.column_stack((np.array(zs), np.array(vs))), qs,
+                      (naccept, nreject, nfev), phi, spec, h, tol_rel, tol_abs)
 
 
 def gronwall_report(traj) -> tuple[bool, float]:

@@ -155,6 +155,9 @@ def c1_curve(nu: float) -> tuple[float, float]:
     return _c1_alpha(nu), _c1_beta(nu)
 
 
+_C1_ALPHA_TOP = _c1_alpha(math.pi - 1e-9)
+
+
 def _c1_nu_from_alpha(alpha: float) -> float:
     """Invert the alpha coordinate; monotone increasing from -2 to 0."""
     return bisect(lambda nu: _c1_alpha(nu) - alpha, 1e-9, math.pi - 1e-9,
@@ -169,11 +172,12 @@ def c1_boundary_beta(alpha: float):
     """
     if alpha < -2.0 or alpha > 0.0:
         return None
-    # endpoint snaps: the curve parameter degenerates there and the limits
-    # are exact; the curve's slope against alpha is 2 at the left end and
-    # bounded at the right, so the snap error is far below any tolerance
-    if alpha > -1e-11:
-        return _BETA_AXIS_TOP
+    # the curve parameter degenerates at both ends.  Left of -2 + 1e-13 the
+    # limit 2 is exact within the slope 2 times the snap; right of the
+    # bisection bracket (nu = pi - d, alpha ~ -pi d / 2 for d <= 1e-9) the
+    # curve is beta = pi^2/2 + 2 alpha + O(d^2), exact in double precision
+    if alpha > _C1_ALPHA_TOP:
+        return _BETA_AXIS_TOP + 2.0 * alpha
     if alpha < -2.0 + 1e-13:
         return 2.0
     return _c1_beta(_c1_nu_from_alpha(alpha))
@@ -222,25 +226,33 @@ def region_boundary_samples(n: int = 200) -> list[tuple[str, float, float, float
 # -- deflated characteristic function and the phase count -----------------
 
 
-def _d_pair(alpha: float, beta: float, z):
-    """Zero-deflated function D = chi/lambda and its derivative.
+def _d(alpha: float, beta: float, z):
+    """Zero-deflated function D = chi/lambda, with what its derivative needs.
 
     ``D(z) = z + alpha + beta*(1 - exp(-z))/z`` with the removable
-    singularity filled by series (D(0) = alpha + beta).
+    singularity filled by series (D(0) = alpha + beta) where ``|z| < 1e-2``.
+    Returns D, ``exp(-zs)``, ``zs`` (z with 1 at the series points) and the
+    mask of the series points.
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-2
     zs = np.where(small, 1.0, z)
     ez = np.exp(-zs)
     e_ratio = (1.0 - ez) / zs
-    e_ratio_d = (ez * (1.0 + zs) - 1.0) / (zs * zs)
     if np.any(small):
         t = z[small]
         e_ratio[small] = 1.0 - t / 2.0 + t**2 / 6.0 - t**3 / 24.0 + t**4 / 120.0 - t**5 / 720.0
+    return z + alpha + beta * e_ratio, ez, zs, small
+
+
+def _d_pair(alpha: float, beta: float, z):
+    """D = chi/lambda and its derivative."""
+    d, ez, zs, small = _d(alpha, beta, z)
+    e_ratio_d = (ez * (1.0 + zs) - 1.0) / (zs * zs)
+    if np.any(small):
+        t = np.asarray(z, dtype=complex)[small]
         e_ratio_d[small] = -0.5 + t / 3.0 - t**2 / 8.0 + t**3 / 30.0 - t**4 / 144.0
-    d = z + alpha + beta * e_ratio
-    dp = 1.0 + beta * e_ratio_d
-    return d, dp
+    return d, 1.0 + beta * e_ratio_d
 
 
 def _half_plane_count(alpha: float, beta: float, s: float) -> int:
@@ -257,10 +269,10 @@ def _half_plane_count(alpha: float, beta: float, s: float) -> int:
     """
     w = 0.5 * (abs(alpha) + math.sqrt(alpha * alpha + 4.0 * beta * (1.0 + math.exp(-s)))) + 1.0
     top = complex(s, w)
-    tail = 0.5 * math.pi - cmath.phase(top) - cmath.phase(_d_pair(alpha, beta, top)[0] / top)
+    tail = 0.5 * math.pi - cmath.phase(top) - cmath.phase(_d(alpha, beta, top)[0] / top)
     last = None
     for m in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
-        dvals = _d_pair(alpha, beta, s + 1j * w * (np.arange(m + 1) / m))[0]
+        dvals = _d(alpha, beta, s + 1j * w * (np.arange(m + 1) / m))[0]
         with np.errstate(all="ignore"):  # a zero on the line gives NaN steps
             steps = np.angle(dvals[1:] / dvals[:-1])
         if not np.max(np.abs(steps)) < 0.5:

@@ -156,17 +156,27 @@ def test_criterion_07_solver_fidelity(vq100):
         "|z'+c| <= 1e-6 on [0,50]": float(np.max(np.abs(traj(t)[:, 1] + c))) <= 1e-6,
     }
 
+    # the ladder sits where error control binds (at 1e-5 every step is
+    # capped at max_step = 1); each run must also meet its own tolerance
     phi = ow.Segment.quasi_stationary(c - 0.005)
     ref = _integrate("conv-ref", vq100, 0.2, phi, 10.0, 1e-12, 1e-14)
     grid = np.linspace(0.0, 10.0, 301)
     wref = ref(grid)
-    errs = []
-    for tol in (1e-5, 5e-6, 2.5e-6, 1.25e-6):
+    scale = float(np.max(np.abs(wref)))
+    errs, steps = [], []
+    for tol in (1e-5, 1e-7, 5e-8, 2.5e-8, 1.25e-8):
         run = _integrate(f"conv-{tol}", vq100, 0.2, phi, 10.0, tol, tol * 1e-3)
-        errs.append(float(np.max(np.abs(run(grid) - wref))))
+        err = float(np.max(np.abs(run(grid) - wref)))
+        checks[f"error at {tol} within 10x its tolerance"] = (
+            err <= 10.0 * (tol * 1e-3 + tol * scale)
+        )
+        errs.append(err)
+        steps.append(run.stats.steps)
+    errs, steps = errs[1:], steps[1:]  # the halving ladder
     checks["errors decrease monotonically over 3 halvings"] = all(
         a > b for a, b in zip(errs, errs[1:])
     )
+    checks["step count rises over 3 halvings"] = all(a < b for a, b in zip(steps, steps[1:]))
     checks["growth bound holds on every run so far"] = all(ok for _, ok in GRONWALL_RUNS)
     _report(7, "solver fidelity", checks)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ovwave as ow
-from ovwave._rk23 import Rk23Driver
+from ovwave._rk import RkDriver, quartic
 
 
 def _branch1_speed(spec, h):
@@ -108,25 +108,17 @@ def test_lookup_at_t0_before_the_first_step_reads_the_history(vq100):
 
 def _vector_driver_run(spec, h, phi, t_end):
     """The delay pair on the numpy driver, lagged values by ``searchsorted``."""
-    drv = Rk23Driver(0.0, phi(0.0), t_end, 1e-9, 1e-12, max_step=1.0,
-                     breakpoints=[k for k in (1.0, 2.0, 3.0, 4.0) if k < t_end])
+    drv = RkDriver(0.0, phi(0.0), t_end, 1e-9, 1e-12, max_step=1.0,
+                   breakpoints=[k for k in (1.0, 2.0, 3.0, 4.0) if k < t_end])
 
     def lagged_position(s):
         if s <= 0.0:
             return float(phi(s)[0])
         n = drv.n
         i = min(int(np.searchsorted(drv.ts[:n], s, side="right")) - 1, n - 2)
-        ts, z, dz = drv.ts, drv.ys[:, 0], drv.fs[:, 0]
-        dt = ts[i + 1] - ts[i]
-        th = (s - ts[i]) / dt
-        th2 = th * th
-        th3 = th2 * th
-        return (
-            (2.0 * th3 - 3.0 * th2 + 1.0) * z[i]
-            + (th3 - 2.0 * th2 + th) * dt * dz[i]
-            + (-2.0 * th3 + 3.0 * th2) * z[i + 1]
-            + (th3 - th2) * dt * dz[i + 1]
-        )
+        dt = drv.ts[i + 1] - drv.ts[i]
+        q = drv.qs[i, :, 0]
+        return quartic(drv.ys[i, 0], dt, (s - drv.ts[i]) / dt, q[0], q[1], q[2], q[3])
 
     def f(t, y):
         v = y[1]
@@ -159,7 +151,8 @@ def test_scalar_loop_matches_vector_driver(case, vq100, vq2841):
     n = drv.n
     assert np.array_equal(traj.mesh, drv.ts[:n])
     assert np.array_equal(traj._ys, drv.ys[:n])
-    assert np.array_equal(traj._fs, drv.fs[:n])
+    # the first coefficient of each step is the slope at its start
+    assert np.array_equal(traj._qs, drv.qs[:n - 1])
     stats = traj.stats
     assert (stats.steps, stats.rejected, stats.rhs_evals) == (drv.naccept, drv.nreject, drv.nfev)
     if case == "bumped_example3":
@@ -205,16 +198,45 @@ def test_velocity_component_is_position_derivative_at_mesh(vq100):
 
 
 def test_convergence_under_tolerance_halving(vq100):
+    # a ladder on which error control binds: at 1e-5 and just below, every
+    # fifth-order step is capped at max_step = 1 and the error stays put
     c = _branch1_speed(vq100, 0.2)
     phi = ow.Segment.quasi_stationary(c - 0.005)
     ref = ow.integrate(vq100, 0.2, phi, 10.0, 1e-12, 1e-14)
     grid = np.linspace(0.0, 10.0, 301)
     wref = ref(grid)
-    errs = []
-    for tol in (1e-5, 5e-6, 2.5e-6, 1.25e-6):
+    scale = np.max(np.abs(wref))
+    errs, steps = [], []
+    for tol in (1e-5, 1e-7, 5e-8, 2.5e-8, 1.25e-8):
         traj = ow.integrate(vq100, 0.2, phi, 10.0, tol, tol * 1e-3)
-        errs.append(np.max(np.abs(traj(grid) - wref)))
+        err = np.max(np.abs(traj(grid) - wref))
+        assert err <= 10.0 * (tol * 1e-3 + tol * scale), (tol, err)
+        errs.append(err)
+        steps.append(traj.stats.steps)
+    errs, steps = errs[1:], steps[1:]
     assert all(a > b for a, b in zip(errs, errs[1:])), errs
+    assert all(a < b for a, b in zip(steps, steps[1:])), steps
+
+
+@pytest.mark.parametrize("case", ["branch1", "branch2", "perturbed", "constant"])
+def test_stable_runs_agree_with_a_reference_run(case, vq100):
+    # example 1 on both branches, a history off the branch-1 speed and a
+    # constant history, each to t = 40 at the reference tolerances, against
+    # a 1e-12 / 1e-14 run; sampled on the mesh and in the middle of each
+    # step, where only the dense output is seen
+    h = 0.2
+    if case == "constant":
+        phi = ow.Segment.constant(2.0)
+    else:
+        c = ow.branch_eval(vq100, h, 2 if case == "branch2" else 1).c
+        phi = ow.Segment.quasi_stationary(c - 0.005 if case == "perturbed" else c)
+    traj = ow.integrate(vq100, h, phi, 40.0)
+    ref = ow.integrate(vq100, h, phi, 40.0, 1e-12, 1e-14)
+    mesh = traj.mesh
+    t = np.concatenate([mesh, mesh[:-1] + 0.5 * np.diff(mesh)])
+    wref = ref(t)
+    dev = np.max(np.abs(traj(t) - wref))
+    assert dev <= 10.0 * (traj.tol_abs + traj.tol_rel * np.max(np.abs(wref))), dev
 
 
 def test_offset_invariance(vq100, vq2841):
@@ -292,13 +314,11 @@ def test_integrate_validates_arguments(vq100):
 
 
 def test_step_underflow_raises():
-    from ovwave._rk23 import Rk23Driver
-
     # the error estimate stays enormous at every step size, so the
     # controller must hit the underflow guard instead of looping
     f = lambda t, y: np.array([1e30 * np.sin(t * 1e18)])
     with pytest.raises(ow.StepSizeError):
-        Rk23Driver(0.0, [0.0], 1.0, 1e-9, 1e-12).run(f)
+        RkDriver(0.0, [0.0], 1.0, 1e-9, 1e-12).run(f)
 
 
 def test_nan_in_rhs_is_domain_error():

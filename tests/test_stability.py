@@ -90,6 +90,16 @@ def test_boundary_curve_endpoints():
     assert ow.c1_boundary_beta(0.1) is None
 
 
+def test_boundary_curve_just_left_of_the_beta_axis():
+    # alpha in (-1.6e-9, -1e-11) lies beyond the bisection bracket's end at
+    # nu = pi - 1e-9; there beta = pi^2/2 + 2 alpha to double precision
+    for alpha in (-1.5e-9, -1e-9, -1e-10, -1e-11):
+        beta = ow.c1_boundary_beta(alpha)
+        assert beta == pytest.approx(math.pi**2 / 2.0 + 2.0 * alpha, abs=1e-15)
+    assert ow.region_classify(P(-1e-9, 5.0)) == ow.OUTSIDE_S
+    assert ow.region_classify(P(-1.5e-9, 3.0)) == ow.INSIDE_S
+
+
 def test_boundary_curve_self_consistency():
     # recover the curve parameter from beta alone and check the alpha
     # coordinate; also compare against the literal parametrization where the
