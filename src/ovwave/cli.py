@@ -133,35 +133,46 @@ def measure_oscillation(traj, spec, h: float, c: float, n_cycles: int = 10,
 # -- high-level runs ---------------------------------------------------------
 
 
-def run_example(name: str, out_dir, t_end: float | None = None,
-                tol_rel: float | None = None, tol_abs: float | None = None,
-                dt: float | None = None) -> dict:
+def _integrate_config(cfg: ExperimentConfig):
+    """The run pipeline: config -> OVF -> speed -> history -> trajectory.
+
+    Returns ``(spec, speed, traj)``; ``speed`` is None when the config names
+    neither a branch nor an explicit c.
+    """
+    spec = cfg.build_ovf()
+    speed = cfg.resolve_speed(spec)
+    traj = integrate(spec, cfg.h, cfg.build_segment(speed), cfg.t_end,
+                     cfg.tol_rel, cfg.tol_abs)
+    return spec, speed, traj
+
+
+def _write_series(traj, path: Path, dt: float) -> dict:
+    """Write the series CSV; return the sidecar entries that describe it."""
+    trajectory_to_csv(traj, path, dt)
+    return {"solver": trajectory_metadata(traj), "series_csv": path.name}
+
+
+def run_example(name: str, out_dir, **overrides) -> dict:
     """Reproduce one of the three reference experiments.
 
     Integrates the quasi-stationary history of the selected branch point
     (at the example's speed offset), classifies it, and writes the time
-    series plus a JSON verdict bundle.
+    series plus a JSON verdict bundle.  ``overrides`` are config fields
+    that replace the example's; None values are ignored.
     """
     if name not in EXAMPLES:
         raise ParameterError(f"unknown example {name!r}; use example1..example3")
-    cfg = ExperimentConfig().with_overrides(**EXAMPLES[name]).with_overrides(
-        t_end=t_end, tol_rel=tol_rel, tol_abs=tol_abs, dt=dt
-    )
-    spec = cfg.build_ovf()
+    cfg = ExperimentConfig().with_overrides(**EXAMPLES[name]).with_overrides(**overrides)
+    spec, _, traj = _integrate_config(cfg)
     point = branch_eval(spec, cfg.h, cfg.branch)
     verdict = classify_wavefront(spec, point)
-    traj = integrate(spec, cfg.h, cfg.build_segment(point.c), cfg.t_end,
-                     cfg.tol_rel, cfg.tol_abs)
 
     out_dir = Path(out_dir)
-    series = out_dir / f"{name}_series.csv"
-    trajectory_to_csv(traj, series, cfg.dt)
     record = {
         "example": name,
         "config": cfg.as_dict(),
         "verdict": _verdict_record(point, verdict),
-        "solver": trajectory_metadata(traj),
-        "series_csv": series.name,
+        **_write_series(traj, out_dir / f"{name}_series.csv", cfg.dt),
         "notes": [],
     }
     if name == "example3":
@@ -177,12 +188,9 @@ def run_example(name: str, out_dir, t_end: float | None = None,
 
 def run_perturbed(cfg: ExperimentConfig, out_dir) -> dict:
     """Integrate a perturbed history and report the deviation statistics."""
-    spec = cfg.build_ovf()
-    speed = cfg.resolve_speed(spec)
-    if speed is None:
+    if cfg.branch is None and cfg.c is None:
         raise ConfigError("perturbed runs need a branch or an explicit c")
-    seg = cfg.build_segment(speed)
-    traj = integrate(spec, cfg.h, seg, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
+    spec, speed, traj = _integrate_config(cfg)
 
     t = np.arange(0.0, cfg.t_end, cfg.dt)
     dev = np.abs(traj(t)[:, 1] + speed)
@@ -190,71 +198,67 @@ def run_perturbed(cfg: ExperimentConfig, out_dir) -> dict:
     osc = measure_oscillation(traj, spec, cfg.h, speed)
 
     out_dir = Path(out_dir)
-    series = out_dir / "perturbed_series.csv"
-    trajectory_to_csv(traj, series, cfg.dt)
     record = {
         "config": cfg.as_dict(),
         "speed": speed,
         "sup_deviation": float(np.max(dev)),
         "terminal_deviation": terminal,
         "oscillation": osc,
-        "solver": trajectory_metadata(traj),
-        "series_csv": series.name,
+        **_write_series(traj, out_dir / "perturbed_series.csv", cfg.dt),
     }
     _write_json(out_dir / "perturbed_report.json", record)
     return record
 
 
-def _h_grid(h_lo: float, h_hi: float, samples: int) -> np.ndarray:
-    """``samples`` evenly spaced h values from ``h_lo`` to ``h_hi``."""
+def _branch_table(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
+                  above_onset: bool = False):
+    """Both branch points on an evenly spaced h grid.
+
+    Returns ``(spec, cp, header, rows)``: the OVF, its critical pair, the
+    ``# c_star=...`` first line of the CSV, and one ``(h, p1, p2)`` row per
+    grid point (``None`` where a branch is undefined).  With
+    ``above_onset`` the whole range must lie above ``h_star``.
+    """
+    spec = cfg.build_ovf()
+    cp = critical_pair(spec)
     if not (h_lo < h_hi) or samples < 2:
         raise ParameterError(f"invalid h range ({h_lo}, {h_hi}, {samples} samples)")
-    return np.linspace(h_lo, h_hi, samples)
+    if above_onset and h_lo <= cp.h_star:
+        raise DomainError(
+            f"sweep range must lie above h_star={cp.h_star}, got h_lo={h_lo}"
+        )
+    rows = []
+    for h in np.linspace(h_lo, h_hi, samples):
+        h = float(h)
+        if h > cp.h_star:
+            rows.append((h, branch_eval(spec, h, 1), branch_eval(spec, h, 2)))
+        else:
+            rows.append((h, None, None))
+    header = f"# c_star={_fmt(cp.c_star)} h_star={_fmt(cp.h_star)} h_hat={_fmt(cp.h_hat)}"
+    return spec, cp, header, rows
 
 
 def run_sweep(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
               out_dir) -> dict:
     """Classify branch points across an h-range and locate boundary crossings."""
-    spec = cfg.build_ovf()
-    cp = critical_pair(spec)
-    hs = _h_grid(h_lo, h_hi, samples)
-    if h_lo <= cp.h_star:
-        raise DomainError(
-            f"sweep range must lie above h_star={cp.h_star}, got h_lo={h_lo}"
-        )
-
-    rows = []
-    for h in hs:
-        p1 = branch_eval(spec, float(h), 1)
-        p2 = branch_eval(spec, float(h), 2)
-        if p1 is not None:
-            verdict = classify_wavefront(spec, p1)
-            rows.append(
-                (float(h), p1.c, p2.c if p2 else None, verdict.params.alpha,
-                 verdict.params.beta, verdict.region, verdict.classification)
-            )
-        else:
-            rows.append((float(h), None, p2.c if p2 else None, None, None, None, None))
-
-    flips = []
-    for i in range(len(rows) - 1):
-        a, b = rows[i][5], rows[i + 1][5]  # the region column
-        if a in ("inside_S", "outside_S") and b in ("inside_S", "outside_S") and a != b:
-            flips.append((float(hs[i]), float(hs[i + 1])))
+    spec, cp, header, rows = _branch_table(cfg, h_lo, h_hi, samples, above_onset=True)
+    verdicts = [classify_wavefront(spec, p1) if p1 else None for _, p1, _ in rows]
+    regions = [v.region if v else None for v in verdicts]
+    flips = [(a[0], b[0]) for a, b, ra, rb in zip(rows, rows[1:], regions, regions[1:])
+             if {ra, rb} == {"inside_S", "outside_S"}]
     h_H = omega = None
     if flips:
         h_H, omega = hopf_crossing(spec, flips[0][0], flips[0][1])
 
+    lines = [header, "h,c1,c2,alpha,beta,region,verdict"]
+    for (h, p1, p2), v in zip(rows, verdicts):
+        row = [_fmt(h), _fmt(p1 and p1.c), _fmt(p2 and p2.c)]
+        if v:
+            row += [_fmt(v.params.alpha), _fmt(v.params.beta), v.region, v.classification]
+        else:
+            row += [""] * 4
+        lines.append(",".join(row))
     out_dir = Path(out_dir)
-    lines = [
-        f"# c_star={_fmt(cp.c_star)} h_star={_fmt(cp.h_star)} h_hat={_fmt(cp.h_hat)}",
-        "h,c1,c2,alpha,beta,region,verdict",
-    ]
-    for h, c1, c2, alpha, beta, region, verdict in rows:
-        lines.append(
-            f"{_fmt(h)},{_fmt(c1)},{_fmt(c2)},{_fmt(alpha)},{_fmt(beta)},"
-            f"{region or ''},{verdict or ''}"
-        )
     _write_lines(out_dir / "sweep.csv", lines)
     record = {
         "config": cfg.as_dict(),
@@ -273,37 +277,27 @@ def run_sweep(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
 
 # -- subcommand handlers -----------------------------------------------------
 
+_RUN_FLAGS = ("t_end", "tol_rel", "tol_abs", "dt")
+_CONFIG_FLAGS = ("v_max", "d_s", "h", "branch", "c") + _RUN_FLAGS
+
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    names = ("v_max", "d_s", "h", "branch", "c", "t_end", "tol_rel", "tol_abs", "dt")
-    return cfg.with_overrides(**{name: getattr(args, name, None) for name in names})
+    return cfg.with_overrides(**{name: getattr(args, name) for name in _CONFIG_FLAGS})
 
 
-def _cmd_branches(args) -> int:
-    cfg = _load_config(args)
-    spec = cfg.build_ovf()
-    cp = critical_pair(spec)
-    hs = _h_grid(args.h_min, args.h_max, args.samples)
-    lines = [
-        f"# c_star={_fmt(cp.c_star)} h_star={_fmt(cp.h_star)} h_hat={_fmt(cp.h_hat)}",
-        "h,c1,c2,hVp_c1,hVp_c2",
-    ]
-    for h in hs:
-        c1 = c2 = s1 = s2 = None
-        if h > cp.h_star:
-            p1 = branch_eval(spec, float(h), 1)
-            p2 = branch_eval(spec, float(h), 2)
-            if p1 is not None:
-                c1, s1 = p1.c, p1.slope_product
-            if p2 is not None:
-                c2, s2 = p2.c, p2.slope_product
-        lines.append(f"{_fmt(float(h))},{_fmt(c1)},{_fmt(c2)},{_fmt(s1)},{_fmt(s2)}")
+def _cmd_branches(args) -> None:
+    _, _, header, rows = _branch_table(_load_config(args), args.h_min, args.h_max,
+                                       args.samples)
+    lines = [header, "h,c1,c2,hVp_c1,hVp_c2"]
+    for h, p1, p2 in rows:
+        c1, s1 = (p1.c, p1.slope_product) if p1 else (None, None)
+        c2, s2 = (p2.c, p2.slope_product) if p2 else (None, None)
+        lines.append(f"{_fmt(h)},{_fmt(c1)},{_fmt(c2)},{_fmt(s1)},{_fmt(s2)}")
     _write_lines(Path(args.out) / "branches.csv", lines)
-    return EXIT_OK
 
 
-def _cmd_stability_region(args) -> int:
+def _cmd_stability_region(args) -> None:
     if args.grid_n < 1:
         raise ParameterError(f"grid_n must be at least 1, got {args.grid_n}")
     out = Path(args.out)
@@ -318,10 +312,9 @@ def _cmd_stability_region(args) -> int:
             region = region_classify(StabilityParams(float(alpha), float(beta)))
             lines.append(f"{_fmt(float(alpha))},{_fmt(float(beta))},{region}")
     _write_lines(out / "region_grid.csv", lines)
-    return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     cfg = _load_config(args)
     spec = cfg.build_ovf()
     point = branch_eval(spec, cfg.h, cfg.branch if cfg.branch else 1)
@@ -332,54 +325,37 @@ def _cmd_classify(args) -> int:
     print(json.dumps(record, indent=2, sort_keys=True))
     if args.out:
         _write_json(Path(args.out) / "classify.json", record)
-    return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     cfg = _load_config(args)
-    spec = cfg.build_ovf()
-    speed = cfg.resolve_speed(spec)
-    seg = cfg.build_segment(speed)
-    traj = integrate(spec, cfg.h, seg, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
-    out = Path(args.out)
-    trajectory_to_csv(traj, out / "series.csv", cfg.dt)
-    _write_json(out / "series_meta.json", trajectory_metadata(traj))
-    return EXIT_OK
+    _, _, traj = _integrate_config(cfg)
+    sidecar = _write_series(traj, Path(args.out) / "series.csv", cfg.dt)
+    _write_json(Path(args.out) / "series_meta.json", sidecar["solver"])
 
 
-def _cmd_perturb(args) -> int:
-    cfg = _load_config(args)
-    run_perturbed(cfg, args.out)
-    return EXIT_OK
+def _cmd_perturb(args) -> None:
+    run_perturbed(_load_config(args), args.out)
 
 
-def _cmd_lattice(args) -> int:
+def _cmd_lattice(args) -> None:
     if args.n_times < 1:
         raise ParameterError(f"n_times must be at least 1, got {args.n_times}")
     cfg = _load_config(args)
-    spec = cfg.build_ovf()
-    speed = cfg.resolve_speed(spec)
-    seg = cfg.build_segment(speed)
-    traj = integrate(spec, cfg.h, seg, cfg.t_end, cfg.tol_rel, cfg.tol_abs)
+    _, _, traj = _integrate_config(cfg)
     t_max = args.t_max if args.t_max is not None else cfg.h
     times = np.linspace(0.0, t_max, args.n_times)
     run = wavefront_to_lattice(traj, cfg.h, (args.j_min, args.j_max), times)
     lattice_to_csv(run, Path(args.out) / "lattice.csv", headways=args.headways)
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    run_sweep(cfg, args.h_min, args.h_max, args.samples, args.out)
-    return EXIT_OK
+def _cmd_sweep(args) -> None:
+    run_sweep(_load_config(args), args.h_min, args.h_max, args.samples, args.out)
 
 
-def _cmd_example(args) -> int:
-    run_example(
-        f"example{args.number}", args.out,
-        t_end=args.t_end, tol_rel=args.tol_rel, tol_abs=args.tol_abs, dt=args.dt,
-    )
-    return EXIT_OK
+def _cmd_example(args) -> None:
+    run_example(f"example{args.number}", args.out,
+                **{name: getattr(args, name) for name in _RUN_FLAGS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,69 +365,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def run_flags(p):
+        for name in _RUN_FLAGS:
+            p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
+
+    def common(p, out="."):
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--v-max", dest="v_max", type=float, default=None)
-        p.add_argument("--d-s", dest="d_s", type=float, default=None)
+        p.add_argument("--out", default=out, help="output directory")
+        p.add_argument("--v-max", type=float, default=None)
+        p.add_argument("--d-s", type=float, default=None)
         p.add_argument("--h", type=float, default=None)
         p.add_argument("--branch", type=int, default=None)
         p.add_argument("--c", type=float, default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-        p.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
-        p.add_argument("--dt", type=float, default=None)
+        run_flags(p)
 
-    p = sub.add_parser("branches", help="tabulate both branch speeds over h")
-    common(p)
-    p.add_argument("--h-min", type=float, required=True)
-    p.add_argument("--h-max", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=_cmd_branches)
+    def h_range(p):
+        p.add_argument("--h-min", type=float, required=True)
+        p.add_argument("--h-max", type=float, required=True)
+        p.add_argument("--samples", type=int, default=100)
 
-    p = sub.add_parser("stability-region", help="sample the region boundary and a grid")
-    p.add_argument("--out", default=".")
-    p.add_argument("--boundary-n", type=int, default=200)
-    p.add_argument("--grid-n", type=int, default=61)
-    p.set_defaults(func=_cmd_stability_region)
+    def region(p):
+        p.add_argument("--out", default=".")
+        p.add_argument("--boundary-n", type=int, default=200)
+        p.add_argument("--grid-n", type=int, default=61)
 
-    p = sub.add_parser("classify", help="stability verdict for one branch point")
-    common(p)
-    p.set_defaults(func=_cmd_classify, out=None)  # prints; writes only with --out
+    def cars(p):
+        p.add_argument("--j-min", type=int, default=-5)
+        p.add_argument("--j-max", type=int, default=0)
+        p.add_argument("--t-max", type=float, default=None)
+        p.add_argument("--n-times", type=int, default=200)
+        p.add_argument("--headways", action="store_true")
 
-    p = sub.add_parser("simulate", help="integrate a configured run and export series")
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
+    def example(p):
+        p.add_argument("number", choices=["1", "2", "3"])
+        p.add_argument("--out", default=".")
+        run_flags(p)
 
-    p = sub.add_parser("perturb", help="integrate a perturbed history, report deviations")
-    common(p)
-    p.set_defaults(func=_cmd_perturb)
-
-    p = sub.add_parser("lattice", help="car trajectories from a wavefront profile")
-    common(p)
-    p.add_argument("--j-min", type=int, default=-5)
-    p.add_argument("--j-max", type=int, default=0)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--n-times", type=int, default=200)
-    p.add_argument("--headways", action="store_true")
-    p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("sweep", help="branch classification across an h-range")
-    common(p)
-    p.add_argument("--h-min", type=float, required=True)
-    p.add_argument("--h-max", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("example", help="reproduce a reference experiment")
-    p.add_argument("number", choices=["1", "2", "3"])
-    p.add_argument("--out", default=".")
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-    p.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.set_defaults(func=_cmd_example)
-
+    for name, help_text, func, *groups in (
+        ("branches", "tabulate both branch speeds over h", _cmd_branches, common, h_range),
+        ("stability-region", "sample the region boundary and a grid",
+         _cmd_stability_region, region),
+        # classify prints its verdict and writes a file only with --out
+        ("classify", "stability verdict for one branch point", _cmd_classify,
+         lambda p: common(p, out=None)),
+        ("simulate", "integrate a configured run and export series", _cmd_simulate, common),
+        ("perturb", "integrate a perturbed history, report deviations", _cmd_perturb,
+         common),
+        ("lattice", "car trajectories from a wavefront profile", _cmd_lattice, common, cars),
+        ("sweep", "branch classification across an h-range", _cmd_sweep, common, h_range),
+        ("example", "reproduce a reference experiment", _cmd_example, example),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for group in groups:
+            group(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -459,7 +426,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except (ConfigError, ParameterError, DomainError) as exc:
         print(f"ovwave: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -72,16 +72,14 @@ class ExperimentConfig:
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 kw.update(_parse_entry(section, key, raw))
-        return cls().with_overrides(**kw)
+        return cls(**kw)
+
+    def __post_init__(self):
+        self.validate()
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
-        known = {f.name for f in fields(self)}
-        unknown = set(kw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields {sorted(unknown)}")
-        cfg = replace(self, **{k: v for k, v in kw.items() if v is not None})
-        cfg.validate()
-        return cfg
+        """A copy with every field in ``kw`` whose value is not None replaced."""
+        return replace(self, **{k: v for k, v in kw.items() if v is not None})
 
     def validate(self) -> None:
         if self.ovf_kind != "vq":
@@ -135,14 +133,15 @@ class ExperimentConfig:
         if self.segment == "affine":
             return self._perturbed(Segment.affine(self.slope, self.offset))
         if self.segment == "sampled":
-            data = np.loadtxt(self.samples, delimiter=",", ndmin=2)
+            try:
+                data = np.loadtxt(self.samples, delimiter=",", ndmin=2)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"could not read samples file {self.samples}: {exc}") from exc
             if data.shape[1] == 2:
                 return Segment.from_samples(data[:, 0], data[:, 1])
             if data.shape[1] == 3:
                 return Segment.from_samples(data[:, 0], data[:, 1], data[:, 2])
             raise ConfigError("sampled segment file needs 2 or 3 columns")
-        if speed is None:
-            raise ConfigError("segment = auto requires a branch or explicit c")
         return self._perturbed(
             Segment.quasi_stationary(speed + self.speed_offset, self.offset)
         )

@@ -16,6 +16,7 @@ truncation is exact rather than approximate.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,25 +35,27 @@ __all__ = [
     "lattice_to_csv",
 ]
 
-_FD_STEP = 1e-4  # central-difference step for profile accelerations
+_FD_STEP = 1e-4  # central-difference step for accelerations from a run's motion
 
 
 @dataclass
 class LatticeRun:
-    """Car positions and velocities on a time grid.
+    """Car positions and velocities on a time grid, and the motion they sample.
 
-    ``ordering_ok`` is False when some sampled gap is not positive, which
-    flags physically unreasonable configurations (cars passing through each
-    other); it is informational, not an error.
+    ``motion`` maps a one-dimensional time array to the ``(x, v)`` of the
+    run's cars plus the car in front of the last one, shape ``(len(t),
+    n_cars + 1, 2)``, with NaN where its source has no data.  ``ordering_ok``
+    is False when some sampled gap is not positive, which flags physically
+    unreasonable configurations (cars passing through each other); it is
+    informational, not an error.
     """
 
     j_indices: np.ndarray
     times: np.ndarray
     positions: np.ndarray  # shape (n_times, n_cars)
     velocities: np.ndarray
-    source: str  # "ansatz" | "direct_ode"
     ordering_ok: bool
-    _context: dict = field(default_factory=dict, repr=False)
+    motion: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def headways(self) -> np.ndarray:
         """Gaps to the car in front, shape (n_times, n_cars - 1)."""
@@ -77,9 +80,19 @@ def wavefront_to_lattice(traj, h: float, j_range, times) -> LatticeRun:
     if times.ndim != 1 or times.size == 0:
         raise ParameterError("times must be a nonempty one-dimensional array")
 
-    args = -times[:, None] / h - j_idx[None, :]
     lo, hi = traj.domain
-    bad = (args < lo) | (args > hi)
+    j_motion = np.append(j_idx, j_hi + 1)
+
+    def motion(t):
+        args = -np.asarray(t, dtype=float)[:, None] / h - j_motion[None, :]
+        inside = (args >= lo) & (args <= hi)
+        w = traj(np.where(inside, args, lo)) / np.array([1.0, -h])
+        w[~inside] = np.nan
+        return w
+
+    state = motion(times)[:, :-1]
+    positions = state[..., 0]
+    bad = np.isnan(positions)
     if np.any(bad):
         where = np.argwhere(bad)
         offending = [(int(j_idx[k]), float(times[i])) for i, k in where[:5]]
@@ -88,18 +101,13 @@ def wavefront_to_lattice(traj, h: float, j_range, times) -> LatticeRun:
             f"for (j, t) pairs {offending}"
             + (" ..." if where.shape[0] > 5 else "")
         )
-    w = traj(args)
-    positions = w[..., 0]
-    velocities = -w[..., 1] / h
-    ordering_ok = bool(np.all(np.diff(positions, axis=1) > 0.0))
     return LatticeRun(
         j_indices=j_idx,
         times=times,
         positions=positions,
-        velocities=velocities,
-        source="ansatz",
-        ordering_ok=ordering_ok,
-        _context={"traj": traj, "h": float(h)},
+        velocities=state[..., 1],
+        ordering_ok=bool(np.all(np.diff(positions, axis=1) > 0.0)),
+        motion=motion,
     )
 
 
@@ -152,95 +160,52 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
         return np.concatenate([v, acc])
 
     driver = RkDriver(0.0, init.T.ravel(), float(t_end), tol_rel, tol_abs).run(f)
+    t_hi = t_end * (1.0 + 1e-12)
+
+    def motion(t):
+        t = np.asarray(t, dtype=float)
+        w = np.full((t.size, n + 1, 2), np.nan)
+        inside = (t >= 0.0) & (t <= t_hi)
+        states = driver.eval_array(t[inside])
+        w[inside, :n] = states.reshape(-1, 2, n).transpose(0, 2, 1)
+        w[inside, n] = [leader(s) for s in t[inside]]
+        return w
 
     if times is None:
         times = np.linspace(0.0, float(t_end), 200)
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0) or np.any(times > t_end * (1.0 + 1e-12)):
+    if np.any(times < 0.0) or np.any(times > t_hi):
         raise ParameterError("output times must lie within [0, t_end]")
-    states = driver.eval_array(times)
-    positions = states[:, :n]
-    velocities = states[:, n:]
-    lead_pos = np.array([float(leader(t)[0]) for t in times])
-    ordering_ok = bool(
-        np.all(np.diff(positions, axis=1) > 0.0)
-        and np.all(lead_pos - positions[:, -1] > 0.0)
-    )
+    state = motion(times)
     return LatticeRun(
         j_indices=np.arange(leader_index - n_cars, leader_index),
         times=times,
-        positions=positions,
-        velocities=velocities,
-        source="direct_ode",
-        ordering_ok=ordering_ok,
-        _context={"leader": leader, "driver": driver, "n": n},
+        positions=state[:, :n, 0],
+        velocities=state[:, :n, 1],
+        ordering_ok=bool(np.all(np.diff(state[..., 0], axis=1) > 0.0)),
+        motion=motion,
     )
 
 
 def ansatz_residual(run: LatticeRun, spec: OvfSpec) -> float:
     """Largest violation of the car-following law over the stored samples.
 
-    Evaluates ``|x_j'' - V(x_{j+1} - x_j) + x_j'|``.  The acceleration comes
-    from central differences of the velocity (both sources store position
-    and velocity only): of the profile for profile-generated runs, of the
-    integrator's dense output for direct runs.  For profile-generated runs
-    the front car of each pair is evaluated from the profile, so the run's
-    own top car is included whenever the profile's domain allows.  Samples
-    whose stencil leaves the domain are skipped.  Raises
-    :class:`DomainError` when no sample is usable.
+    Evaluates ``|x_j'' - V(x_{j+1} - x_j) + x_j'|`` with the stored
+    positions and velocities; the acceleration is a central difference of
+    ``run.motion``'s velocity, and the top car's front comes from
+    ``run.motion``.  Samples whose stencil leaves the motion's data are
+    skipped.  Raises :class:`DomainError` when no sample is usable.
     """
-    if run.source == "ansatz":
-        traj = run._context["traj"]
-        h = run._context["h"]
-        lo, hi = traj.domain
-        times = run.times
-        max_resid = 0.0
-        usable = False
-        for k, j in enumerate(run.j_indices):
-            u = -times / h - j
-            ok = (
-                (u - _FD_STEP / h >= lo)
-                & (u + _FD_STEP / h <= hi)
-                & (u - 1.0 >= lo)
-                & (u - 1.0 <= hi)
-            )
-            if not np.any(ok):
-                continue
-            usable = True
-            uu = u[ok]
-            x = run.positions[ok, k]
-            v = run.velocities[ok, k]
-            x_front = np.asarray(traj(uu - 1.0))[..., 0]
-            v_plus = -np.asarray(traj(uu - _FD_STEP / h))[..., 1] / h
-            v_minus = -np.asarray(traj(uu + _FD_STEP / h))[..., 1] / h
-            acc = (v_plus - v_minus) / (2.0 * _FD_STEP)
-            resid = np.abs(acc - spec.eval(x_front - x) + v)
-            max_resid = max(max_resid, float(np.max(resid)))
-        if not usable:
-            raise DomainError(
-                "no (j, t) sample leaves room for the residual stencil "
-                "inside the profile domain"
-            )
-        return max_resid
-
-    leader = run._context["leader"]
-    driver = run._context["driver"]
-    n = run._context["n"]
-    ok = (run.times - _FD_STEP >= driver.t0) & (run.times + _FD_STEP <= driver.t_end)
-    if not np.any(ok):
-        raise DomainError(
-            "no sample leaves room for the residual stencil inside [0, t_end]"
-        )
-    times = run.times[ok]
-    v_plus = driver.eval_array(times + _FD_STEP)[:, n:]
-    v_minus = driver.eval_array(times - _FD_STEP)[:, n:]
-    acc = (v_plus - v_minus) / (2.0 * _FD_STEP)
-    positions = run.positions[ok]
-    gaps = np.empty_like(positions)
-    gaps[:, :-1] = np.diff(positions, axis=1)
-    gaps[:, -1] = np.array([float(leader(t)[0]) for t in times]) - positions[:, -1]
-    resid = np.abs(acc - spec.eval(gaps) + run.velocities[ok])
-    return float(np.max(resid))
+    t = run.times
+    n = run.positions.shape[1]
+    acc = (run.motion(t + _FD_STEP)[:, :n, 1] - run.motion(t - _FD_STEP)[:, :n, 1]) / (
+        2.0 * _FD_STEP
+    )
+    front = np.column_stack([run.positions[:, 1:], run.motion(t)[:, n, 0]])
+    resid = np.abs(acc - spec.eval(front - run.positions) + run.velocities)
+    if np.all(np.isnan(resid)):
+        raise DomainError("no (j, t) sample leaves room for the residual stencil")
+    return float(np.nanmax(resid))
 
 
 def lattice_to_csv(run: LatticeRun, path, headways: bool = False) -> None:

@@ -1,6 +1,8 @@
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ovwave as ow
 import ovwave.cli as cli
@@ -60,6 +62,29 @@ def test_config_rejects_bad_values(tmp_path):
     with pytest.raises(ow.ConfigError):
         ExperimentConfig.from_file(path)
 
+
+
+@pytest.mark.parametrize("bad", [{"t_end": -1.0}, {"branch": None}, {"tol_rel": 0.0}])
+def test_config_validates_on_construction(bad):
+    with pytest.raises(ow.ConfigError):
+        ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("samples_text", [
+    None,  # no such file
+    "s,z\n-1,0\n0,0\n",  # a header row
+    "-1,0\n0,zero\n",  # a non-numeric cell
+])
+def test_bad_samples_file_exits_config(tmp_path, samples_text):
+    samples = tmp_path / "history.csv"
+    if samples_text is not None:
+        samples.write_text(samples_text)
+    config = tmp_path / "run.ini"
+    config.write_text(f"[run]\nsegment = sampled\nsamples = {samples}\nt_end = 1.0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 def test_example1_bundle(tmp_path):
     record = cli.run_example("example1", tmp_path, t_end=10.0)
@@ -260,3 +285,59 @@ def test_measure_oscillation_on_settled_run(vq2841):
     osc = cli.measure_oscillation(traj, vq2841, 1.5, c)
     assert osc["late_max_deviation"] > 10.0 * osc["early_max_deviation"]
     assert osc["n_amplitudes"] > 5
+
+
+def _flag(name, strategy):
+    """An optional ``--name=value`` flag, or nothing."""
+    return st.one_of(st.just([]), strategy.map(lambda v: [f"{name}={v!r}"]))
+
+
+def _spoiler(*bad):
+    """Nothing, or one of the given invalid flags."""
+    return st.one_of(st.just([]), st.sampled_from(bad).map(lambda flag: [flag]))
+
+
+# mostly valid values, so that runs get past validation; a trailing invalid
+# flag overrides its valid twin in some examples
+_MODEL_FLAGS = st.tuples(
+    _flag("--v-max", st.floats(0.5, 150.0)),
+    _flag("--d-s", st.floats(0.0, 2.0)),
+    _flag("--h", st.floats(0.05, 3.0)),
+    _flag("--branch", st.sampled_from([1, 2])),
+    _flag("--c", st.floats(0.01, 50.0)),
+    _flag("--t-end", st.floats(0.5, 6.0)),
+    _spoiler("--v-max=-1", "--d-s=-0.1", "--h=0", "--branch=3", "--t-end=0", "--c=-2"),
+).map(lambda parts: sum(parts, []))
+
+_H_RANGE = st.tuples(
+    st.floats(0.01, 3.0), st.floats(0.05, 2.0), st.integers(2, 8),
+    _spoiler("--samples=1", "--samples=-1", "--h-max=0.001"),
+).map(lambda r: [f"--h-min={r[0]!r}", f"--h-max={r[0] + r[1]!r}", f"--samples={r[2]}"]
+      + r[3])
+
+_CARS = st.tuples(
+    st.integers(-8, 0), st.integers(0, 4), st.integers(1, 12), st.booleans(),
+    _spoiler("--n-times=0", "--j-max=-20", "--j-min=3"),
+).map(lambda r: [f"--j-min={r[0]}", f"--j-max={r[0] + r[1]}", f"--n-times={r[2]}"]
+      + (["--headways"] if r[3] else []) + r[4])
+
+_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["simulate", "perturb", "classify"]), _MODEL_FLAGS)
+    .map(lambda a: [a[0]] + a[1]),
+    st.tuples(_MODEL_FLAGS, _CARS).map(lambda a: ["lattice"] + a[0] + a[1]),
+    st.tuples(st.sampled_from(["branches", "sweep"]), _MODEL_FLAGS, _H_RANGE)
+    .map(lambda a: [a[0]] + a[1] + a[2]),
+)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(argv=_ARGV)
+def test_main_exit_code_contract(argv):
+    # every run either works or fails with a documented exit code (argparse
+    # itself exits with 2 on a value it cannot parse)
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            rc = main(argv + ["--out", out])
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3, 4)

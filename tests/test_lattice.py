@@ -146,6 +146,35 @@ def test_cross_validation_ansatz_vs_direct(vq100):
     assert ow.ansatz_residual(sim, vq100) > 1e3 * bound
 
 
+
+def test_ansatz_residual_reads_profile_run_samples(vq100):
+    c = ow.branch_eval(vq100, 0.2, 1).c
+    traj = ow.integrate(vq100, 0.2, ow.Segment.quasi_stationary(c), 20.0)
+    run = ow.wavefront_to_lattice(traj, 0.2, (-16, -14), np.linspace(0.0, 3.0, 16))
+    bound = 10.0 * (1e-12 + 1e-9 * np.max(np.abs(run.positions)))
+    assert ow.ansatz_residual(run, vq100) <= bound
+    # the residual measures the stored run, not only the profile behind it
+    velocities = run.velocities.copy()
+    run.velocities *= 1.01
+    assert ow.ansatz_residual(run, vq100) > 1e3 * bound
+    run.velocities = velocities
+    run.positions[:, 0] -= 0.1 * c
+    assert ow.ansatz_residual(run, vq100) > 1e3 * bound
+
+
+def test_ansatz_residual_without_usable_sample(vq100):
+    c = ow.branch_eval(vq100, 0.2, 1).c
+    leader = lambda t: (c * t / 0.2, c / 0.2)
+    init = np.array([[-c, c / 0.2]])
+    sim = ow.simulate_followers(vq100, leader, init, 1, 2.0, times=[0.0, 2.0])
+    with pytest.raises(ow.DomainError):
+        ow.ansatz_residual(sim, vq100)
+    # car 1 at t = 0 sits on the left end of the profile's domain [-1, 5]
+    traj = ow.integrate(vq100, 0.2, ow.Segment.quasi_stationary(c), 5.0)
+    run = ow.wavefront_to_lattice(traj, 0.2, (1, 1), [0.0])
+    with pytest.raises(ow.DomainError):
+        ow.ansatz_residual(run, vq100)
+
 def test_simulate_followers_validates_input(vq100):
     leader = lambda t: (1.0, 0.0)
     with pytest.raises(ow.ParameterError):
