@@ -12,6 +12,7 @@ failure, 4 consistency error (classifier and root finder disagree).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,7 +32,8 @@ from .errors import (
 from .lattice import lattice_to_csv, wavefront_to_lattice
 from .solver import (
     _acceleration,
-    _fmt,
+    _column,
+    _write_csv,
     _write_lines,
     integrate,
     trajectory_metadata,
@@ -221,20 +223,15 @@ def _branch_table(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
     """
     spec = cfg.build_ovf()
     cp = critical_pair(spec)
-    if not (h_lo < h_hi) or samples < 2:
+    if not (-math.inf < h_lo < h_hi < math.inf) or samples < 2:
         raise ParameterError(f"invalid h range ({h_lo}, {h_hi}, {samples} samples)")
     if above_onset and h_lo <= cp.h_star:
         raise DomainError(
             f"sweep range must lie above h_star={cp.h_star}, got h_lo={h_lo}"
         )
-    rows = []
-    for h in np.linspace(h_lo, h_hi, samples):
-        h = float(h)
-        if h > cp.h_star:
-            rows.append((h, branch_eval(spec, h, 1), branch_eval(spec, h, 2)))
-        else:
-            rows.append((h, None, None))
-    header = f"# c_star={_fmt(cp.c_star)} h_star={_fmt(cp.h_star)} h_hat={_fmt(cp.h_hat)}"
+    rows = [(h, branch_eval(spec, h, 1), branch_eval(spec, h, 2)) if h > cp.h_star
+            else (h, None, None) for h in np.linspace(h_lo, h_hi, samples).tolist()]
+    header = "# c_star={} h_star={} h_hat={}".format(*_column([cp.c_star, cp.h_star, cp.h_hat]))
     return spec, cp, header, rows
 
 
@@ -250,16 +247,12 @@ def run_sweep(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
     if flips:
         h_H, omega = hopf_crossing(spec, flips[0][0], flips[0][1])
 
-    lines = [header, "h,c1,c2,alpha,beta,region,verdict"]
-    for (h, p1, p2), v in zip(rows, verdicts):
-        row = [_fmt(h), _fmt(p1 and p1.c), _fmt(p2 and p2.c)]
-        if v:
-            row += [_fmt(v.params.alpha), _fmt(v.params.beta), v.region, v.classification]
-        else:
-            row += [""] * 4
-        lines.append(",".join(row))
+    numbers = zip(*[(h, p1 and p1.c, p2 and p2.c, v and v.params.alpha, v and v.params.beta)
+                    for (h, p1, p2), v in zip(rows, verdicts)])
+    labels = zip(*[(v.region, v.classification) if v else ("", "") for v in verdicts])
     out_dir = Path(out_dir)
-    _write_lines(out_dir / "sweep.csv", lines)
+    _write_csv(out_dir / "sweep.csv", f"{header}\nh,c1,c2,alpha,beta,region,verdict",
+               [*map(_column, numbers), *labels])
     record = {
         "config": cfg.as_dict(),
         "h_range": [h_lo, h_hi],
@@ -289,29 +282,26 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_branches(args) -> None:
     _, _, header, rows = _branch_table(_load_config(args), args.h_min, args.h_max,
                                        args.samples)
-    lines = [header, "h,c1,c2,hVp_c1,hVp_c2"]
-    for h, p1, p2 in rows:
-        c1, s1 = (p1.c, p1.slope_product) if p1 else (None, None)
-        c2, s2 = (p2.c, p2.slope_product) if p2 else (None, None)
-        lines.append(f"{_fmt(h)},{_fmt(c1)},{_fmt(c2)},{_fmt(s1)},{_fmt(s2)}")
-    _write_lines(Path(args.out) / "branches.csv", lines)
+    numbers = zip(*[(h, p1 and p1.c, p2 and p2.c, p1 and p1.slope_product,
+                     p2 and p2.slope_product) for h, p1, p2 in rows])
+    _write_csv(Path(args.out) / "branches.csv", f"{header}\nh,c1,c2,hVp_c1,hVp_c2",
+               map(_column, numbers))
 
 
 def _cmd_stability_region(args) -> None:
     if args.grid_n < 1:
         raise ParameterError(f"grid_n must be at least 1, got {args.grid_n}")
     out = Path(args.out)
-    lines = ["curve,param,alpha,beta"]
-    for curve, param, alpha, beta in region_boundary_samples(args.boundary_n):
-        lines.append(f"{curve},{_fmt(param)},{_fmt(alpha)},{_fmt(beta)}")
-    _write_lines(out / "region_boundary.csv", lines)
+    curves, *numbers = zip(*region_boundary_samples(args.boundary_n))
+    _write_csv(out / "region_boundary.csv", "curve,param,alpha,beta",
+               [curves, *map(_column, numbers)])
 
-    lines = ["alpha,beta,region"]
-    for alpha in np.linspace(-3.0, 0.0, args.grid_n):
-        for beta in np.linspace(0.0, 6.0, args.grid_n):
-            region = region_classify(StabilityParams(float(alpha), float(beta)))
-            lines.append(f"{_fmt(float(alpha))},{_fmt(float(beta))},{region}")
-    _write_lines(out / "region_grid.csv", lines)
+    alphas = np.repeat(np.linspace(-3.0, 0.0, args.grid_n), args.grid_n)
+    betas = np.tile(np.linspace(0.0, 6.0, args.grid_n), args.grid_n)
+    regions = [region_classify(StabilityParams(a, b))
+               for a, b in zip(alphas.tolist(), betas.tolist())]
+    _write_csv(out / "region_grid.csv", "alpha,beta,region",
+               [_column(alphas), _column(betas), regions])
 
 
 def _cmd_classify(args) -> None:
@@ -344,6 +334,8 @@ def _cmd_lattice(args) -> None:
     cfg = _load_config(args)
     _, _, traj = _integrate_config(cfg)
     t_max = args.t_max if args.t_max is not None else cfg.h
+    if not math.isfinite(t_max):
+        raise ParameterError(f"t_max must be finite, got {t_max}")
     times = np.linspace(0.0, t_max, args.n_times)
     run = wavefront_to_lattice(traj, cfg.h, (args.j_min, args.j_max), times)
     lattice_to_csv(run, Path(args.out) / "lattice.csv", headways=args.headways)
@@ -358,7 +350,9 @@ def _cmd_example(args) -> None:
                 **{name: getattr(args, name) for name in _RUN_FLAGS})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ovwave`` parser, built once per process; shared, so never add to it."""
     parser = argparse.ArgumentParser(
         prog="ovwave",
         description="Constant-speed wavefronts of a delayed car-following model",
@@ -423,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
         return EXIT_OK

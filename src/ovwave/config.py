@@ -82,6 +82,10 @@ class ExperimentConfig:
         return replace(self, **{k: v for k, v in kw.items() if v is not None})
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.ovf_kind != "vq":
             raise ConfigError(f"unsupported ovf kind {self.ovf_kind!r}")
         if not self.v_max > 0:
@@ -100,15 +104,11 @@ class ExperimentConfig:
             raise ConfigError("segment = affine requires a slope")
         if self.segment == "sampled" and self.samples is None:
             raise ConfigError("segment = sampled requires a samples path")
-        if self.slope is not None and not math.isfinite(self.slope):
-            raise ConfigError(f"slope must be finite, got {self.slope}")
         if not self.t_end > 0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         _check_tolerances(self.tol_rel, self.tol_abs, ConfigError)
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not math.isfinite(self.speed_offset) or not math.isfinite(self.amplitude):
-            raise ConfigError("perturbation entries must be finite")
 
     def build_ovf(self) -> OvfSpec:
         return make_vq(self.v_max, self.d_s)

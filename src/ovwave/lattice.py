@@ -24,7 +24,7 @@ import numpy as np
 from ._rk import RkDriver
 from .errors import DomainError, ParameterError
 from .ovf import OvfSpec
-from .solver import _check_tolerances, _fmt, _write_lines
+from .solver import _check_tolerances, _column, _write_csv
 
 __all__ = [
     "LatticeRun",
@@ -134,8 +134,8 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
     """
     if n_cars < 1:
         raise ParameterError(f"n_cars must be >= 1, got {n_cars}")
-    if not t_end > 0:
-        raise ParameterError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < np.inf:
+        raise ParameterError(f"t_end must be positive and finite, got {t_end}")
     _check_tolerances(tol_rel, tol_abs)
     init = np.asarray(init, dtype=float)
     if init.shape != (n_cars, 2):
@@ -210,18 +210,12 @@ def ansatz_residual(run: LatticeRun, spec: OvfSpec) -> float:
 
 def lattice_to_csv(run: LatticeRun, path, headways: bool = False) -> None:
     """Long-format export: t, j, x, v rows (or t, j, headway rows)."""
-    lines = []
     if headways:
-        lines.append("t,j,headway")
-        gaps = run.headways()
-        for i, t in enumerate(run.times):
-            for k, j in enumerate(run.j_indices[:-1]):
-                lines.append(f"{_fmt(t)},{j},{_fmt(gaps[i, k])}")
+        header, cars, values = "t,j,headway", run.j_indices[:-1], [run.headways()]
     else:
-        lines.append("t,j,x,v")
-        for i, t in enumerate(run.times):
-            for k, j in enumerate(run.j_indices):
-                lines.append(
-                    f"{_fmt(t)},{j},{_fmt(run.positions[i, k])},{_fmt(run.velocities[i, k])}"
-                )
-    _write_lines(path, lines)
+        header, cars, values = "t,j,x,v", run.j_indices, [run.positions, run.velocities]
+    _write_csv(path, header, [
+        np.repeat(_column(run.times), len(cars)),
+        np.tile(np.array([str(j) for j in cars], dtype=object), len(run.times)),
+        *map(_column, values),
+    ])

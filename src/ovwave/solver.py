@@ -250,9 +250,9 @@ def rhs(spec: OvfSpec, h: float, segment) -> tuple[float, float]:
 
 def _check_tolerances(tol_rel, tol_abs, error=ParameterError) -> None:
     """The tolerance contract of every integration and configuration."""
-    if not (tol_rel >= 1e-12 and tol_abs > 0):
+    if not (1e-12 <= tol_rel < math.inf and 0 < tol_abs < math.inf):
         raise error(
-            f"tolerances must satisfy rel >= 1e-12 and abs > 0, got ({tol_rel}, {tol_abs})"
+            f"tolerances must be finite with rel >= 1e-12 and abs > 0, got ({tol_rel}, {tol_abs})"
         )
 
 
@@ -275,8 +275,8 @@ def integrate(spec: OvfSpec, h: float, phi: Segment, t_end: float,
     """
     if not h > 0:
         raise ParameterError(f"h must be positive, got {h}")
-    if not t_end > 0:
-        raise ParameterError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ParameterError(f"t_end must be positive and finite, got {t_end}")
     _check_tolerances(tol_rel, tol_abs)
     t_end, tol_rel, tol_abs = float(t_end), float(tol_rel), float(tol_abs)
     targets = [k for k in (1.0, 2.0, 3.0, 4.0) if k < t_end] + [t_end]
@@ -421,9 +421,20 @@ def solution_offset_invariance_check(traj: Trajectory, d: float) -> bool:
     return diff <= 10.0 * (traj.tol_abs + traj.tol_rel * scale)
 
 
-def _fmt(x) -> str:
-    """The number format of every CSV: 17 significant digits, empty for None."""
-    return "" if x is None else f"{x:.17g}"
+def _column(values) -> np.ndarray:
+    """The number format of every CSV: ``values`` flattened to an object array
+    of 17-significant-digit strings, empty for None (only an object array holds
+    None).  Each distinct bit pattern is formatted once, which keeps ``-0.0``
+    apart from ``0.0``; a car lattice samples one profile and repeats values.
+    """
+    a = np.asarray(values)
+    missing = np.equal(a, None) if a.dtype == object else np.zeros(a.shape, bool)
+    bits = np.where(missing, 0.0, a).astype(np.float64).ravel().view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = ["%.17g" % x for x in keys.view(np.float64).tolist()]
+    cells = np.array(text, dtype=object)[inverse]
+    cells[missing.ravel()] = ""
+    return cells
 
 
 def _write_lines(path, lines: list[str]) -> None:
@@ -434,18 +445,19 @@ def _write_lines(path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(path, header: str, columns) -> None:
+    """Write the ``header`` line(s), then the rows of equal-length str ``columns``."""
+    _write_lines(path, [header, *map(",".join, zip(*columns, strict=True))])
+
+
 def trajectory_to_csv(traj: Trajectory, path, dt: float) -> None:
     """Write t, z, dz rows sampled every ``dt`` over the full domain."""
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
     lo, hi = traj.domain
     n = int(math.floor((hi - lo) / dt + 1e-9))
     ts = lo + dt * np.arange(n + 1)
-    w = traj(ts)
-    lines = ["t,z,dz"]
-    for t, (z, dz) in zip(ts, w):
-        lines.append(f"{_fmt(t)},{_fmt(z)},{_fmt(dz)}")
-    _write_lines(path, lines)
+    _write_csv(path, "t,z,dz", [_column(ts), *map(_column, traj(ts).T)])
 
 
 def trajectory_metadata(traj: Trajectory) -> dict:

@@ -1,6 +1,8 @@
 import json
+import math
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,7 +66,8 @@ def test_config_rejects_bad_values(tmp_path):
 
 
 
-@pytest.mark.parametrize("bad", [{"t_end": -1.0}, {"branch": None}, {"tol_rel": 0.0}])
+@pytest.mark.parametrize("bad", [{"t_end": -1.0}, {"branch": None}, {"tol_rel": 0.0},
+                                 {"d_s": math.nan}, {"c": -math.inf}, {"offset": math.inf}])
 def test_config_validates_on_construction(bad):
     with pytest.raises(ow.ConfigError):
         ExperimentConfig(**bad)
@@ -150,6 +153,13 @@ def test_branches_csv(tmp_path):
     assert lines[1] == "h,c1,c2,hVp_c1,hVp_c2"
     below = lines[2].split(",")
     assert below[1] == "" and below[2] == ""  # h below onset has no branches
+    spec = ow.make_vq(100.0, 0.0)
+    expected = []
+    for h in np.linspace(0.015, 0.3, 10).tolist():
+        p1, p2 = (ow.branch_eval(spec, h, b) for b in (1, 2)) if h > 0.02 else (None, None)
+        row = [h, p1 and p1.c, p2 and p2.c, p1 and p1.slope_product, p2 and p2.slope_product]
+        expected.append(",".join("" if x is None else f"{x:.17g}" for x in row))
+    assert lines[2:] == expected
 
 
 def test_classify_cli_json(tmp_path, capsys):
@@ -236,6 +246,12 @@ def test_sweep_invalid_range_exits_config(tmp_path):
     ["branches", "--v-max", "100", "--h-min", "2", "--h-max", "1"],
     ["stability-region", "--grid-n", "-1"],
     ["lattice", "--v-max", "100", "--h", "0.2", "--branch", "1", "--n-times", "-3"],
+    ["simulate", "--dt", "inf", "--t-end", "2"],
+    ["simulate", "--v-max", "inf"],
+    ["simulate", "--t-end", "inf"],
+    ["branches", "--h-min", "0.1", "--h-max", "inf"],
+    ["sweep", "--v-max", "2.841", "--h-min", "0.8", "--h-max", "inf"],
+    ["lattice", "--v-max", "100", "--t-max", "inf"],
 ])
 def test_bad_counts_and_ranges_exit_config(tmp_path, args):
     assert main(args + ["--out", str(tmp_path)]) == 2

@@ -185,6 +185,8 @@ def test_simulate_followers_validates_input(vq100):
         )
     with pytest.raises(ow.ParameterError):
         ow.simulate_followers(vq100, leader, np.array([[0.0, 0.0]]), 0, 5.0)
+    with pytest.raises(ow.ParameterError):
+        ow.simulate_followers(vq100, leader, np.array([[0.0, 0.0]]), 1, math.inf)
 
 
 def test_lattice_csv_export(tmp_path, vq100):
@@ -201,3 +203,34 @@ def test_lattice_csv_export(tmp_path, vq100):
     assert len(lines) == 1 + 3 * 2
     gap = float(lines[1].split(",")[2])
     assert gap == pytest.approx(c, abs=1e-13)
+
+
+def _per_row_csv(run, headways):
+    """The long-format file written one f-string row per (t, j)."""
+    if headways:
+        cars, values = run.j_indices[:-1], [run.headways()]
+        lines = ["t,j,headway"]
+    else:
+        cars, values = run.j_indices, [run.positions, run.velocities]
+        lines = ["t,j,x,v"]
+    for i, t in enumerate(run.times):
+        for k, j in enumerate(cars):
+            lines.append(",".join([f"{t:.17g}", f"{j}", *(f"{a[i, k]:.17g}" for a in values)]))
+    return "\n".join(lines).encode() + b"\n"
+
+
+@pytest.mark.parametrize("headways", [False, True])
+@pytest.mark.parametrize("source", ["profile", "followers"])
+def test_lattice_csv_is_byte_identical_to_per_row_format(tmp_path, vq100, source, headways):
+    c = ow.branch_eval(vq100, 0.2, 1).c
+    if source == "profile":
+        traj = ow.integrate(vq100, 0.2, ow.Segment.quasi_stationary(c), 10.0)
+        run = ow.wavefront_to_lattice(traj, 0.2, (-8, -2), np.linspace(0.0, 0.2, 31))
+    else:
+        gaps = c * np.array([1.05, 0.93, 1.1, 0.98])
+        init = np.stack([-np.cumsum(gaps[::-1])[::-1], np.full(4, c / 0.2)], axis=1)
+        run = ow.simulate_followers(vq100, lambda t: (c * t / 0.2, c / 0.2), init, 4, 2.0,
+                                    times=np.linspace(0.0, 2.0, 41))
+    out = tmp_path / "lat.csv"
+    ow.lattice_to_csv(run, out, headways=headways)
+    assert out.read_bytes() == _per_row_csv(run, headways)

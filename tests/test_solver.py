@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ovwave as ow
 from ovwave._rk import RkDriver, quartic
+from ovwave.solver import _column, _write_csv
 
 
 def _branch1_speed(spec, h):
@@ -311,6 +314,9 @@ def test_integrate_validates_arguments(vq100):
         ow.integrate(vq100, 0.2, phi, 5.0, tol_rel=1e-13)
     with pytest.raises(ow.ParameterError):
         ow.integrate(vq100, 0.2, phi, 5.0, tol_abs=0.0)
+    for bad in ({"t_end": math.inf}, {"tol_rel": math.inf}, {"tol_abs": math.inf}):
+        with pytest.raises(ow.ParameterError):
+            ow.integrate(vq100, 0.2, phi, **{"t_end": 5.0, **bad})
 
 
 def test_step_underflow_raises():
@@ -342,3 +348,43 @@ def test_trajectory_csv_export(tmp_path, vq100):
     first = lines[1].split(",")
     assert float(first[0]) == -1.0
     assert float(first[1]) == pytest.approx(1.0)
+
+
+def test_column_matches_the_scalar_format():
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, -0.0, 1e308, 0.1]
+    bits = np.random.default_rng(7).integers(-2**63, 2**63 - 1, size=2000, dtype=np.int64)
+    values = np.concatenate([special, bits.view(np.float64), bits[:500].view(np.float64)])
+    assert _column(values).tolist() == [f"{x:.17g}" for x in values.tolist()]
+    assert _column(values.reshape(-1, 3)).tolist() == _column(values).tolist()
+    assert _column([1.5, None, -0.0, None]).tolist() == ["1.5", "", "-0", ""]
+    assert _column(np.array([])).tolist() == []
+
+
+def test_write_csv_is_byte_identical_to_per_row_format(tmp_path):
+    values = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, -0.0, 0.1]
+    labels = [f"r{i}" for i in range(len(values))]
+    out = tmp_path / "table.csv"
+    _write_csv(out, "# note\nx,label", [_column(values), labels])
+    rows = [f"{x:.17g},{label}" for x, label in zip(values, labels)]
+    assert out.read_bytes() == "\n".join(["# note", "x,label", *rows]).encode() + b"\n"
+    with pytest.raises(ValueError):
+        _write_csv(out, "x,label", [_column(values), labels[:-1]])
+
+
+def test_trajectory_csv_is_byte_identical_to_per_row_format(tmp_path, vq100):
+    c = _branch1_speed(vq100, 0.2)
+    traj = ow.integrate(vq100, 0.2, ow.Segment.quasi_stationary(c), 10.0)
+    out = tmp_path / "series.csv"
+    ow.trajectory_to_csv(traj, out, 0.037)
+    lo, hi = traj.domain
+    ts = lo + 0.037 * np.arange(int(math.floor((hi - lo) / 0.037 + 1e-9)) + 1)
+    rows = [f"{t:.17g},{z:.17g},{dz:.17g}" for t, (z, dz) in zip(ts, traj(ts))]
+    assert out.read_bytes() == "\n".join(["t,z,dz", *rows]).encode() + b"\n"
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.5, math.inf, math.nan])
+def test_trajectory_csv_rejects_bad_dt(tmp_path, vq100, dt):
+    traj = ow.integrate(vq100, 0.2, ow.Segment.constant(1.0), 2.0)
+    with pytest.raises(ow.ParameterError):
+        ow.trajectory_to_csv(traj, tmp_path / "series.csv", dt)
+    assert not (tmp_path / "series.csv").exists()
