@@ -12,23 +12,22 @@ a quartic that matches state and slope at both ends of the step and is
 accurate to fourth order inside it, enough for fifth-order steps that read
 their own lagged history.
 
-:class:`RkDriver` steps vector systems on numpy arrays; the finite
-car-chain simulator uses it.  The tableau, the step-size rules
-(:func:`initial_step`, :func:`clip_step`, :func:`next_step`) and the
-continuous extension (:func:`dense_coefficients`, :func:`quartic`) are
-shared with the scalar step loop of the delay pair in :mod:`ovwave.solver`.
+:meth:`RkDriver.run` is the one step loop.  Every stage sum has real
+coefficients, so a state may be a float array (the finite car chain of
+:mod:`ovwave.lattice`) or a Python ``complex`` whose real and imaginary
+parts step as two floats would (the delay pair of :mod:`ovwave.solver`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, StepSizeError
 
-__all__ = ["RkDriver", "dense_coefficients", "quartic", "dense_output", "initial_step",
-           "clip_step", "next_step", "MAX_STEPS"]
+__all__ = ["RkDriver", "dense_coefficients", "quartic", "dense_output", "MAX_STEPS"]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -100,59 +99,21 @@ def dense_output(ts, ys, qs, t):
     return quartic(ys[idx], dt[:, None], th, q[:, 0], q[:, 1], q[:, 2], q[:, 3])
 
 
-def initial_step(d0, d1, cap):
-    """First step size from the RMS norms of the scaled initial state and slope."""
-    dt = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 1e-2 * d0 / d1
-    return min(dt, cap)
-
-
-def clip_step(dt_prop, max_step, t, target, span):
-    """The step to attempt from ``t`` and whether it lands on ``target``.
-
-    A proposal that would end close to the target is stretched or clipped
-    onto it.  Raises :class:`StepSizeError` when the step falls below
-    ``1e-12`` of the integration span.
-    """
-    dt = min(dt_prop, max_step)
-    remaining = target - t
-    hit = dt >= remaining * (1.0 - 1e-12) or dt > 0.9 * remaining
-    if hit:
-        dt = remaining
-    if dt < 1e-12 * span:
-        raise StepSizeError(
-            f"step size underflow at t={t} (dt={dt}); dynamics too stiff"
-        )
-    return dt, hit
-
-
-def next_step(dt, dt_prop, enorm, hit, rejected_last):
-    """The step-size proposal after an attempt of size ``dt``.
-
-    A rejected step (``enorm > 1``) shrinks.  An accepted step may grow, but
-    not right after a rejection; a step clipped to land on a target grows
-    from the proposal it was clipped from, not from its own size.
-    """
-    if enorm > 1.0:
-        return dt * min(1.0, max(_MIN_FACTOR, _SAFETY * enorm ** _EXPONENT))
-    factor = _MAX_FACTOR if enorm == 0.0 else _SAFETY * enorm ** _EXPONENT
-    if rejected_last:
-        factor = min(factor, 1.0)
-    return (dt_prop if hit else dt) * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-
-
 class RkDriver:
-    """Adaptive integrator with growing dense-output storage.
+    """Adaptive integrator that keeps the dense output of every accepted step.
 
     Parameters
     ----------
-    t0, y0 : initial time and state.
+    t0, y0 : initial time and state, a float array or a ``complex``.
     t_end : final time (must exceed ``t0``).
     tol_rel, tol_abs : local error control per step.
     max_step : hard cap on the step size.
     breakpoints : times in ``(t0, t_end)`` the mesh must hit exactly.
 
-    After :meth:`run`, ``ts[:n]`` and ``ys[:n]`` hold the accepted mesh and
-    states and ``qs[:n - 1]`` the coefficients of each step.
+    While :meth:`run` works, ``ts``, ``ys`` and ``qs`` are lists of the
+    accepted times, states and coefficient 4-tuples, which the right-hand
+    side may read; :meth:`run` turns them into arrays, ``qs`` of shape
+    ``(len(ts) - 1, 4) + y0.shape``.
     """
 
     def __init__(self, t0, y0, t_end, tol_rel, tol_abs, *, max_step=math.inf,
@@ -162,96 +123,117 @@ class RkDriver:
         self.tol_rel = float(tol_rel)
         self.tol_abs = float(tol_abs)
         self.max_step = float(max_step)
-        y0 = np.asarray(y0, dtype=float)
-        self.dim = y0.size
-
         bps = sorted({float(b) for b in breakpoints if self.t0 < b < self.t_end})
         self._targets = bps + [self.t_end]
-
-        cap = 1024
-        self.ts = np.empty(cap)
-        self.ys = np.empty((cap, self.dim))
-        self.qs = np.empty((cap, 4, self.dim))
-        self.ts[0] = self.t0
-        self.ys[0] = y0
-        self.n = 1
-
+        self.ts = [self.t0]
+        self.ys = [y0 if isinstance(y0, complex) else np.asarray(y0, dtype=float)]
+        self.qs = []
         self.naccept = 0
         self.nreject = 0
         self.nfev = 0
 
-    def _grow(self):
-        cap = 2 * self.ts.size
-        self.ts = np.resize(self.ts, cap)
-        self.ys = np.resize(self.ys, (cap, self.dim))
-        self.qs = np.resize(self.qs, (cap, 4, self.dim))
+    def _norm(self, err, y, y_new):
+        """RMS over components of ``err`` scaled by ``tol_abs + tol_rel*max(|y|, |y_new|)``.
+
+        The components of a complex state are its real and imaginary parts.
+        NaN unless ``y_new`` is finite.
+        """
+        rel, atol = self.tol_rel, self.tol_abs
+        if isinstance(y_new, complex):
+            if not cmath.isfinite(y_new):
+                return math.nan
+            a = err.real / (atol + rel * max(abs(y.real), abs(y_new.real)))
+            b = err.imag / (atol + rel * max(abs(y.imag), abs(y_new.imag)))
+            return math.sqrt((a * a + b * b) / 2.0)
+        if not np.all(np.isfinite(y_new)):
+            return math.nan
+        sc = atol + rel * np.maximum(np.abs(y), np.abs(y_new))
+        return math.sqrt(float(np.mean((err / sc) ** 2)))
 
     def eval_array(self, t):
         """Vectorized dense output on ``[t0, t_end]``; shape ``t.shape + (dim,)``."""
         t = np.asarray(t, dtype=float)
         if np.any(t < self.t0):
             raise DomainError("no history available before t0")
-        n = self.n
-        out = dense_output(self.ts[:n], self.ys[:n], self.qs[:n - 1], t.ravel())
-        return out.reshape(t.shape + (self.dim,))
+        out = dense_output(self.ts, self.ys, self.qs, t.ravel())
+        return out.reshape(t.shape + (-1,))
 
     def run(self, f):
-        """Integrate ``y' = f(t, y)`` from ``t0`` to ``t_end``."""
+        """Integrate ``y' = f(t, y)`` from ``t0`` to ``t_end``.
 
-        def rhs(t, y):
-            return np.asarray(f(t, y), dtype=float)
-
-        t = self.t0
-        y = self.ys[0].copy()
-        k1 = rhs(t, y)
-        self.nfev += 1
-        if not np.all(np.isfinite(k1)):
-            raise DomainError(f"non-finite right-hand side at t={t}")
-
-        target_i = 0
+        ``f`` returns the slope in the state's type.  Raises
+        :class:`DomainError` when the state or the error estimate turns
+        non-finite, :class:`StepSizeError` on step underflow and
+        :class:`NumericalError` when the step budget runs out.
+        """
+        ts, ys, qs = self.ts, self.ys, self.qs
+        t, y = self.t0, ys[0]
+        k1 = f(t, y)
+        naccept = nreject = 0
+        nfev = 1
+        targets = iter(self._targets)
+        target = next(targets)
         span = self.t_end - self.t0
-        sc = self.tol_abs + self.tol_rel * np.abs(y)
-        dt_prop = initial_step(
-            math.sqrt(float(np.mean((y / sc) ** 2))),
-            math.sqrt(float(np.mean((k1 / sc) ** 2))),
-            min(self.max_step, self._targets[0] - t),
-        )
+        # first step from the RMS norms of the scaled initial state and slope
+        d0 = self._norm(y, y, y)
+        d1 = self._norm(k1, y, y)
+        if not math.isfinite(d1):
+            raise DomainError(f"non-finite right-hand side at t={t}")
+        dt_prop = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 1e-2 * d0 / d1
+        dt_prop = min(dt_prop, self.max_step, target - t)
         rejected_last = False
 
         while t < self.t_end:
-            if self.naccept + self.nreject > MAX_STEPS:
+            if naccept + nreject > MAX_STEPS:
                 raise NumericalError("step budget exhausted")
-            target = self._targets[target_i]
-            dt, hit = clip_step(dt_prop, self.max_step, t, target, span)
+            # a proposal that would end close to the target is stretched or
+            # clipped onto it; steps below 1e-12 of the span are an underflow
+            dt = min(dt_prop, self.max_step)
+            remaining = target - t
+            hit = dt >= remaining * (1.0 - 1e-12) or dt > 0.9 * remaining
+            if hit:
+                dt = remaining
+            if dt < 1e-12 * span:
+                raise StepSizeError(
+                    f"step size underflow at t={t} (dt={dt}); dynamics too stiff"
+                )
 
-            k2 = rhs(t + C2 * dt, y + dt * (A21 * k1))
-            k3 = rhs(t + C3 * dt, y + dt * (A31 * k1 + A32 * k2))
-            k4 = rhs(t + C4 * dt, y + dt * (A41 * k1 + A42 * k2 + A43 * k3))
-            k5 = rhs(t + C5 * dt, y + dt * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4))
-            k6 = rhs(t + dt, y + dt * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5))
+            k2 = f(t + C2 * dt, y + dt * (A21 * k1))
+            k3 = f(t + C3 * dt, y + dt * (A31 * k1 + A32 * k2))
+            k4 = f(t + C4 * dt, y + dt * (A41 * k1 + A42 * k2 + A43 * k3))
+            k5 = f(t + C5 * dt, y + dt * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4))
+            k6 = f(t + dt, y + dt * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5))
             y_new = y + dt * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
             t_new = target if hit else t + dt
-            k7 = rhs(t_new, y_new)
-            self.nfev += 6
+            k7 = f(t_new, y_new)
+            nfev += 6
             err = dt * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7)
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err))):
+            enorm = self._norm(err, y, y_new)
+            if not math.isfinite(enorm):
                 raise DomainError(f"non-finite right-hand side near t={t}")
 
-            sc = self.tol_abs + self.tol_rel * np.maximum(np.abs(y), np.abs(y_new))
-            enorm = math.sqrt(float(np.mean((err / sc) ** 2)))
-            dt_prop = next_step(dt, dt_prop, enorm, hit, rejected_last)
-            rejected_last = enorm > 1.0
-            if rejected_last:
-                self.nreject += 1
+            # a rejected step shrinks; an accepted step may grow, but not right
+            # after a rejection, and a step clipped to land on a target grows
+            # from the proposal it was clipped from, not from its own size
+            if enorm > 1.0:
+                dt_prop = dt * min(1.0, max(_MIN_FACTOR, _SAFETY * enorm ** _EXPONENT))
+                rejected_last = True
+                nreject += 1
                 continue
-            if self.n == self.ts.size:
-                self._grow()
-            self.qs[self.n - 1] = dense_coefficients(k1, k3, k4, k5, k6, k7)
+            factor = _MAX_FACTOR if enorm == 0.0 else _SAFETY * enorm ** _EXPONENT
+            if rejected_last:
+                factor = min(factor, 1.0)
+            dt_prop = (dt_prop if hit else dt) * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            rejected_last = False
+            qs.append(dense_coefficients(k1, k3, k4, k5, k6, k7))
             t, y, k1 = t_new, y_new, k7
-            self.ts[self.n] = t
-            self.ys[self.n] = y
-            self.n += 1
-            self.naccept += 1
+            ts.append(t)
+            ys.append(y)
+            naccept += 1
             if hit:
-                target_i = min(target_i + 1, len(self._targets) - 1)
+                target = next(targets, target)
+
+        dtype = np.result_type(y)
+        self.ts, self.ys, self.qs = np.array(ts), np.array(ys, dtype), np.array(qs, dtype)
+        self.naccept, self.nreject, self.nfev = naccept, nreject, nfev
         return self

@@ -174,8 +174,8 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
     if times is None:
         times = np.linspace(0.0, float(t_end), 200)
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0) or np.any(times > t_hi):
-        raise ParameterError("output times must lie within [0, t_end]")
+    if not np.all((times >= 0.0) & (times <= t_hi)):
+        raise ParameterError("output times must be finite and lie within [0, t_end]")
     state = motion(times)
     return LatticeRun(
         j_indices=np.arange(leader_index - n_cars, leader_index),

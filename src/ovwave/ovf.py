@@ -55,6 +55,9 @@ class OvfSpec:
     deriv2: Callable
 
     def __post_init__(self):
+        for name in ("v_max", "d_s", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.v_max > 0:
             raise ParameterError(f"v_max must be positive, got {self.v_max}")
         if self.d_s < 0:
@@ -84,12 +87,9 @@ def make_vq(v_max: float, d_s: float) -> OvfSpec:
     Raises
     ------
     ParameterError
-        If ``v_max <= 0`` or ``d_s < 0``.
+        If ``v_max`` or ``d_s`` is not finite, ``v_max <= 0`` or ``d_s < 0``
+        (checked by :class:`OvfSpec`).
     """
-    if not v_max > 0:
-        raise ParameterError(f"v_max must be positive, got {v_max}")
-    if d_s < 0:
-        raise ParameterError(f"d_s must be nonnegative, got {d_s}")
     vm = float(v_max)
     ds = float(d_s)
 

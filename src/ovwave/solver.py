@@ -11,31 +11,26 @@ jumps propagate from the initial segment at whole numbers; the mesh is
 forced onto t = 1, 2, 3, 4, after which the solution is smooth enough for
 the integration order.
 
-The pair has two components, so :func:`integrate` runs the Dormand-Prince
-5(4) steps of :mod:`ovwave._rk` as one loop on Python floats, with the
-tableau and step-size rules shared with the vector driver.  Each accepted
-step keeps four coefficients per component of the pair's quartic
-continuous extension.  The lagged value ``z(t-1)`` comes from that dense
-output, found by a cursor that walks forward with the lookups and steps back
-after a rejected step; the same evaluator serves :class:`Trajectory`.
+:func:`integrate` steps the pair as one complex number ``z + i z'`` with the
+Dormand-Prince 5(4) loop of :mod:`ovwave._rk`, the loop the car chain uses.
+Each accepted step keeps four coefficients per component of the pair's
+quartic continuous extension.  The lagged value ``z(t-1)`` comes from that
+dense output, found by a cursor that walks forward with the lookups and
+steps back after a rejected step; the same evaluator serves
+:class:`Trajectory`.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._rk import (
-    A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
-    B1, B3, B4, B5, B6, C2, C3, C4, C5, E1, E3, E4, E5, E6, E7, MAX_STEPS,
-    clip_step, dense_coefficients, dense_output, initial_step, next_step, quartic,
-)
-from .errors import DomainError, NumericalError, ParameterError
+from ._rk import RkDriver, dense_output, quartic
+from .errors import DomainError, ParameterError
 from .ovf import OvfSpec
 
 __all__ = [
@@ -96,22 +91,20 @@ class Segment:
 
     @classmethod
     def from_samples(cls, s, z, dz=None):
-        s = np.asarray(s, dtype=float)
-        z = np.asarray(z, dtype=float)
+        s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=float)
+        dz = None if dz is None else np.asarray(dz, dtype=float)
         if s.ndim != 1 or s.size < 2 or z.shape != s.shape:
             raise ParameterError("samples must be matching one-dimensional arrays")
+        if dz is not None and dz.shape != s.shape:
+            raise ParameterError("dz samples must match s")
+        if not all(np.all(np.isfinite(a)) for a in (s, z, dz) if a is not None):
+            raise ParameterError("samples must be finite")
         if not np.all(np.diff(s) > 0):
             raise ParameterError("sample abscissae must be strictly increasing")
         if s[0] > -1.0 + 1e-12 or s[-1] < -1e-12:
             raise ParameterError("samples must cover [-1, 0]")
         pos = PchipInterpolator(s, z)
-        if dz is None:
-            vel = pos.derivative()
-        else:
-            dz = np.asarray(dz, dtype=float)
-            if dz.shape != s.shape:
-                raise ParameterError("dz samples must match s")
-            vel = PchipInterpolator(s, dz)
+        vel = pos.derivative() if dz is None else PchipInterpolator(s, dz)
         return cls(pos, vel, {"kind": "sampled", "n_samples": int(s.size)})
 
     def shifted(self, d):
@@ -256,117 +249,53 @@ def _check_tolerances(tol_rel, tol_abs, error=ParameterError) -> None:
         )
 
 
-def _rms(a: float, b: float) -> float:
-    return math.sqrt((a * a + b * b) / 2.0)
-
-
 def integrate(spec: OvfSpec, h: float, phi: Segment, t_end: float,
               tol_rel: float = 1e-9, tol_abs: float = 1e-12) -> Trajectory:
     """Integrate the delayed pair from the initial segment up to ``t_end``.
 
-    Dormand-Prince 5(4) steps from t0 = 0: the stages, error norm, step
-    rules and dense-output coefficients of :meth:`ovwave._rk.RkDriver.run`
-    written out for the two components ``(z, v)`` on Python floats, with
-    ``max_step = 1`` and the mesh forced onto t = 1..4.  Lagged values come
-    from the dense output of completed history.  Raises
-    :class:`StepSizeError` on step underflow, :class:`NumericalError` when
-    the step budget runs out and :class:`DomainError` if the right-hand side
-    turns non-finite.
+    The pair ``(z, v)`` steps as one complex state ``z + i v`` on
+    :class:`ovwave._rk.RkDriver` from t0 = 0, with ``max_step = 1`` and the
+    mesh forced onto t = 1..4.  Lagged values come from the dense output of
+    completed history.  Raises :class:`StepSizeError` on step underflow,
+    :class:`NumericalError` when the step budget runs out and
+    :class:`DomainError` if the right-hand side turns non-finite.
     """
     if not h > 0:
         raise ParameterError(f"h must be positive, got {h}")
     if not 0 < t_end < math.inf:
         raise ParameterError(f"t_end must be positive and finite, got {t_end}")
     _check_tolerances(tol_rel, tol_abs)
-    t_end, tol_rel, tol_abs = float(t_end), float(tol_rel), float(tol_abs)
-    targets = [k for k in (1.0, 2.0, 3.0, 4.0) if k < t_end] + [t_end]
     accel = _acceleration(spec, h)
-    z, v = (float(x) for x in phi(0.0))
+    position = phi._position  # lagged times in [-1, 0] need no domain check
+    drv = RkDriver(0.0, complex(*phi(0.0)), t_end, tol_rel, tol_abs, max_step=1.0,
+                   breakpoints=(1.0, 2.0, 3.0, 4.0))
+    ts, ys, qs = drv.ts, drv.ys, drv.qs
     j = 0  # lag cursor: the mesh interval holding the last lagged time
 
-    def gap(t, z):
-        """Headway ``z(t - 1) - z`` seen at stage time ``t``."""
+    def slope(t, w):
+        """The slope ``v + i a`` of the state ``w = z + i v`` at stage time ``t``."""
         nonlocal j
+        z, v = w.real, w.imag
         s = t - 1.0
         if s <= 0.0:
-            return float(phi(s)[0]) - z
-        last = len(ts) - 2
-        while j < last and ts[j + 1] <= s:
-            j += 1
-        while j > 0 and ts[j] > s:
-            j -= 1
-        t_j = ts[j]
-        dt = ts[j + 1] - t_j
-        k = 4 * j
-        return quartic(zs[j], dt, (s - t_j) / dt, qz[k], qz[k + 1], qz[k + 2], qz[k + 3]) - z
+            lagged = float(position(s))
+        else:
+            last = len(ts) - 2
+            while j < last and ts[j + 1] <= s:
+                j += 1
+            while j > 0 and ts[j] > s:
+                j -= 1
+            t_j = ts[j]
+            dt = ts[j + 1] - t_j
+            q1, q2, q3, q4 = qs[j]
+            lagged = quartic(ys[j].real, dt, (s - t_j) / dt, q1.real, q2.real, q3.real, q4.real)
+        return complex(v, accel(lagged - z, v))
 
-    t = 0.0
-    a = accel(gap(t, z), v)
-    if not (math.isfinite(v) and math.isfinite(a)):
-        raise DomainError(f"non-finite right-hand side at t={t}")
-    ts, zs, vs = (array("d", [x]) for x in (t, z, v))
-    qz, qv = array("d"), array("d")  # four dense-output coefficients per step
-    sz = tol_abs + tol_rel * abs(z)
-    sv = tol_abs + tol_rel * abs(v)
-    dt_prop = initial_step(_rms(z / sz, v / sv), _rms(v / sz, a / sv),
-                           min(1.0, targets[0] - t))
-    target_i = 0
-    rejected_last = False
-    naccept = nreject = 0
-    nfev = 1
-
-    while t < t_end:
-        if naccept + nreject > MAX_STEPS:
-            raise NumericalError("step budget exhausted")
-        target = targets[target_i]
-        dt, hit = clip_step(dt_prop, 1.0, t, target, t_end)
-
-        z2 = z + dt * (A21 * v)
-        v2 = v + dt * (A21 * a)
-        a2 = accel(gap(t + C2 * dt, z2), v2)
-        z3 = z + dt * (A31 * v + A32 * v2)
-        v3 = v + dt * (A31 * a + A32 * a2)
-        a3 = accel(gap(t + C3 * dt, z3), v3)
-        z4 = z + dt * (A41 * v + A42 * v2 + A43 * v3)
-        v4 = v + dt * (A41 * a + A42 * a2 + A43 * a3)
-        a4 = accel(gap(t + C4 * dt, z4), v4)
-        z5 = z + dt * (A51 * v + A52 * v2 + A53 * v3 + A54 * v4)
-        v5 = v + dt * (A51 * a + A52 * a2 + A53 * a3 + A54 * a4)
-        a5 = accel(gap(t + C5 * dt, z5), v5)
-        z6 = z + dt * (A61 * v + A62 * v2 + A63 * v3 + A64 * v4 + A65 * v5)
-        v6 = v + dt * (A61 * a + A62 * a2 + A63 * a3 + A64 * a4 + A65 * a5)
-        a6 = accel(gap(t + dt, z6), v6)
-        z_new = z + dt * (B1 * v + B3 * v3 + B4 * v4 + B5 * v5 + B6 * v6)
-        v_new = v + dt * (B1 * a + B3 * a3 + B4 * a4 + B5 * a5 + B6 * a6)
-        t_new = target if hit else t + dt
-        a_new = accel(gap(t_new, z_new), v_new)
-        nfev += 6
-        ez = dt * (E1 * v + E3 * v3 + E4 * v4 + E5 * v5 + E6 * v6 + E7 * v_new)
-        ev = dt * (E1 * a + E3 * a3 + E4 * a4 + E5 * a5 + E6 * a6 + E7 * a_new)
-        if not (math.isfinite(z_new) and math.isfinite(v_new)
-                and math.isfinite(ez) and math.isfinite(ev)):
-            raise DomainError(f"non-finite right-hand side near t={t}")
-
-        enorm = _rms(ez / (tol_abs + tol_rel * max(abs(z), abs(z_new))),
-                     ev / (tol_abs + tol_rel * max(abs(v), abs(v_new))))
-        dt_prop = next_step(dt, dt_prop, enorm, hit, rejected_last)
-        rejected_last = enorm > 1.0
-        if rejected_last:
-            nreject += 1
-            continue
-        qz.extend(dense_coefficients(v, v3, v4, v5, v6, v_new))
-        qv.extend(dense_coefficients(a, a3, a4, a5, a6, a_new))
-        t, z, v, a = t_new, z_new, v_new, a_new
-        ts.append(t)
-        zs.append(z)
-        vs.append(v)
-        naccept += 1
-        if hit:
-            target_i = min(target_i + 1, len(targets) - 1)
-
-    qs = np.stack((np.array(qz).reshape(-1, 4), np.array(qv).reshape(-1, 4)), axis=-1)
-    return Trajectory(np.array(ts), np.column_stack((np.array(zs), np.array(vs))), qs,
-                      (naccept, nreject, nfev), phi, spec, h, tol_rel, tol_abs)
+    drv.run(slope)
+    n = drv.ts.size
+    return Trajectory(drv.ts, drv.ys.view(float).reshape(n, 2),
+                      drv.qs.view(float).reshape(n - 1, 4, 2),
+                      (drv.naccept, drv.nreject, drv.nfev), phi, spec, h, drv.tol_rel, drv.tol_abs)
 
 
 def gronwall_report(traj) -> tuple[bool, float]:

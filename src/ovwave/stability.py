@@ -99,6 +99,8 @@ class StabilityParams:
     beta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise DomainError(f"alpha and beta must be finite, got ({self.alpha}, {self.beta})")
         if self.alpha > 0:
             raise DomainError(f"alpha must be <= 0, got {self.alpha}")
         if self.beta < 0:

@@ -77,6 +77,9 @@ def test_config_validates_on_construction(bad):
     None,  # no such file
     "s,z\n-1,0\n0,0\n",  # a header row
     "-1,0\n0,zero\n",  # a non-numeric cell
+    "-1,0\n-0.5,nan\n0,0\n",  # a non-finite position
+    "-1,0,1\n-0.5,0,inf\n0,0,1\n",  # a non-finite velocity
+    "-1,0\n0,0\ninf,1\n",  # a non-finite abscissa
 ])
 def test_bad_samples_file_exits_config(tmp_path, samples_text):
     samples = tmp_path / "history.csv"

@@ -187,6 +187,22 @@ def test_simulate_followers_validates_input(vq100):
         ow.simulate_followers(vq100, leader, np.array([[0.0, 0.0]]), 0, 5.0)
     with pytest.raises(ow.ParameterError):
         ow.simulate_followers(vq100, leader, np.array([[0.0, 0.0]]), 1, math.inf)
+    for times in ([0.0, math.nan], [0.0, math.inf], [-math.inf, 1.0]):
+        with pytest.raises(ow.ParameterError):
+            ow.simulate_followers(vq100, leader, np.array([[0.0, 0.0]]), 1, 5.0, times=times)
+
+
+def test_nan_in_chain_rhs_is_domain_error():
+    # the OVF turns NaN once the gap to the leader opens beyond 1.5
+    bad = ow.OvfSpec(
+        v_max=1.0, d_s=0.0, b=1.0,
+        eval=lambda s: np.where(np.asarray(s) > 1.5, np.nan, 0.5),
+        deriv=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        deriv2=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+    )
+    leader = lambda t: (1.0 + t, 1.0)
+    with pytest.raises(ow.DomainError):
+        ow.simulate_followers(bad, leader, np.array([[-0.5, 0.0], [0.0, 0.0]]), 2, 5.0)
 
 
 def test_lattice_csv_export(tmp_path, vq100):

@@ -89,6 +89,14 @@ def test_make_vq_rejects_bad_parameters():
         ow.make_vq(-1.0, 0.0)
     with pytest.raises(ow.ParameterError):
         ow.make_vq(1.0, -0.5)
+    for v_max, d_s in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ow.ParameterError):
+            ow.make_vq(v_max, d_s)
+    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
+    for fields in ({"v_max": math.inf}, {"d_s": math.nan}, {"b": math.inf}):
+        with pytest.raises(ow.ParameterError):
+            ow.OvfSpec(**{"v_max": 1.0, "d_s": 0.0, "b": 1.0, **fields},
+                       eval=zero, deriv=zero, deriv2=zero)
 
 
 def test_axiom_check_passes_for_reference_family():

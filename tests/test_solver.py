@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import ovwave as ow
 from ovwave._rk import RkDriver, quartic
+from ovwave.cli import EXAMPLES, _integrate_config
+from ovwave.config import ExperimentConfig
 from ovwave.solver import _column, _write_csv
 
 
@@ -109,19 +112,18 @@ def test_lookup_at_t0_before_the_first_step_reads_the_history(vq100):
     assert traj(s).tolist() == phi(s).tolist()
 
 
-def _vector_driver_run(spec, h, phi, t_end):
-    """The delay pair on the numpy driver, lagged values by ``searchsorted``."""
+def _real_pair_run(spec, h, phi, t_end):
+    """The delay pair as a real 2-array on ``RkDriver``, lagged values by bisection."""
     drv = RkDriver(0.0, phi(0.0), t_end, 1e-9, 1e-12, max_step=1.0,
                    breakpoints=[k for k in (1.0, 2.0, 3.0, 4.0) if k < t_end])
 
     def lagged_position(s):
         if s <= 0.0:
             return float(phi(s)[0])
-        n = drv.n
-        i = min(int(np.searchsorted(drv.ts[:n], s, side="right")) - 1, n - 2)
+        i = min(bisect.bisect_right(drv.ts, s) - 1, len(drv.ts) - 2)
         dt = drv.ts[i + 1] - drv.ts[i]
-        q = drv.qs[i, :, 0]
-        return quartic(drv.ys[i, 0], dt, (s - drv.ts[i]) / dt, q[0], q[1], q[2], q[3])
+        q = [c[0] for c in drv.qs[i]]
+        return quartic(drv.ys[i][0], dt, (s - drv.ts[i]) / dt, q[0], q[1], q[2], q[3])
 
     def f(t, y):
         v = y[1]
@@ -139,7 +141,7 @@ def _bumped_history(speed, bump):
 
 
 @pytest.mark.parametrize("case", ["bumped_example3", "constant", "first_step_spans_delay"])
-def test_scalar_loop_matches_vector_driver(case, vq100, vq2841):
+def test_complex_pair_matches_real_array_pair(case, vq100, vq2841):
     if case == "bumped_example3":
         spec, h, t_end = vq2841, 1.5, 20.0
         phi = _bumped_history(_branch1_speed(vq2841, 1.5) + 0.005, 0.017)
@@ -150,18 +152,27 @@ def test_scalar_loop_matches_vector_driver(case, vq100, vq2841):
         spec, h, t_end = vq100, 0.2, 3.0
         phi = ow.Segment.quasi_stationary(_branch1_speed(vq100, 0.2), 5.0)
     traj = ow.integrate(spec, h, phi, t_end)
-    drv = _vector_driver_run(spec, h, phi, t_end)
-    n = drv.n
-    assert np.array_equal(traj.mesh, drv.ts[:n])
-    assert np.array_equal(traj._ys, drv.ys[:n])
+    drv = _real_pair_run(spec, h, phi, t_end)
+    assert np.array_equal(traj.mesh, drv.ts)
+    assert np.array_equal(traj._ys, drv.ys)
     # the first coefficient of each step is the slope at its start
-    assert np.array_equal(traj._qs, drv.qs[:n - 1])
+    assert np.array_equal(traj._qs, drv.qs)
     stats = traj.stats
     assert (stats.steps, stats.rejected, stats.rhs_evals) == (drv.naccept, drv.nreject, drv.nfev)
     if case == "bumped_example3":
         assert drv.nreject > 0  # retries from the same t send the lag cursor back
     if case == "first_step_spans_delay":
         assert drv.ts[1] == 1.0
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("example1", (46, 0, 277)), ("example2", (209, 0, 1255)), ("example3", (3193, 279, 20833)),
+])
+def test_example_step_counts(name, counts):
+    # the cross-check above moves with the shared step loop; fixed counts do not
+    cfg = ExperimentConfig().with_overrides(**EXAMPLES[name])
+    stats = _integrate_config(cfg)[2].stats
+    assert (stats.steps, stats.rejected, stats.rhs_evals) == counts
 
 
 def test_first_step_spanning_the_delay(vq100):

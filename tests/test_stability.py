@@ -78,6 +78,9 @@ def test_params_validate_signs():
         P(0.1, 1.0)
     with pytest.raises(ow.DomainError):
         P(-1.0, -0.1)
+    for alpha, beta in ((math.nan, 1.0), (-1.0, math.inf), (-math.inf, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ow.DomainError):
+            P(alpha, beta)
 
 
 # -- boundary curve -------------------------------------------------------------
