@@ -21,13 +21,14 @@ outside its closure.
 
 Roots come from the eigenvalues of a Chebyshev collocation of the
 infinitesimal generator of ``y' = -alpha y - beta * (integral of y over
-[t-1, t])``, solved by ``y = x'`` (Breda, Maset & Vermiglio 2005), polished
-by Newton steps.  Its characteristic function is the zero-deflated
-``D = chi(lambda)/lambda``.  One phase count certifies them: the roots of D
-right of a vertical line, counted from the phase of D along it (Stepan's
-formula), must be the roots found there, an m-fold root counting m times;
-the line passes through the widest root-free gap left of the requested real
-part, and roots may coincide only where D' vanishes to rounding level.
+[t-1, t])``, solved by ``y = x'`` (Breda, Maset & Vermiglio 2005), the few
+that matter polished by scalar Newton steps.  Its characteristic function
+is the zero-deflated ``D = chi(lambda)/lambda``.  One phase count certifies
+them: the roots of D right of a vertical line, counted from the phase of D
+along it (Stepan's formula) and proven by a bound on ``|D'|``, must be the
+roots found there, an m-fold root counting m times; the line passes through
+the widest root-free gap left of the requested real part, and roots may
+coincide only where D' vanishes to rounding level.
 """
 
 from __future__ import annotations
@@ -170,8 +171,10 @@ def c1_boundary_beta(alpha: float):
     """Beta coordinate of the oscillatory boundary above ``alpha``.
 
     Defined for alpha in [-2, 0] with limit values 2 at -2 and pi^2/2 at 0;
-    returns None outside that interval.
+    returns None outside that interval and raises ParameterError for NaN.
     """
+    if math.isnan(alpha):
+        raise ParameterError(f"alpha must be a number, got {alpha}")
     if alpha < -2.0 or alpha > 0.0:
         return None
     # the curve parameter degenerates at both ends.  Left of -2 + 1e-13 the
@@ -228,65 +231,66 @@ def region_boundary_samples(n: int = 200) -> list[tuple[str, float, float, float
 # -- deflated characteristic function and the phase count -----------------
 
 
-def _d(alpha: float, beta: float, z):
-    """Zero-deflated function D = chi/lambda, with what its derivative needs.
+def _d(alpha: float, beta: float, z: complex) -> tuple[complex, complex]:
+    """Zero-deflated function D = chi/lambda at one point, and its derivative.
 
-    ``D(z) = z + alpha + beta*(1 - exp(-z))/z`` with the removable
-    singularity filled by series (D(0) = alpha + beta) where ``|z| < 1e-2``.
-    Returns D, ``exp(-zs)``, ``zs`` (z with 1 at the series points) and the
-    mask of the series points.
+    ``D(z) = z + alpha + beta*E(z)`` with ``E(z) = (1 - exp(-z))/z``, the
+    integral of ``exp(-z u)`` over u in [0, 1]; where ``|z| < 1e-2`` the
+    removable singularity is filled by the series of E and E'.
     """
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-2
-    zs = np.where(small, 1.0, z)
-    ez = np.exp(-zs)
-    e_ratio = (1.0 - ez) / zs
-    if np.any(small):
-        t = z[small]
-        e_ratio[small] = 1.0 - t / 2.0 + t**2 / 6.0 - t**3 / 24.0 + t**4 / 120.0 - t**5 / 720.0
-    return z + alpha + beta * e_ratio, ez, zs, small
+    if abs(z) < 1e-2:
+        e = 1.0 - z / 2.0 + z**2 / 6.0 - z**3 / 24.0 + z**4 / 120.0 - z**5 / 720.0
+        e_d = -0.5 + z / 3.0 - z**2 / 8.0 + z**3 / 30.0 - z**4 / 144.0
+    else:
+        ez = cmath.exp(-z)
+        e = (1.0 - ez) / z
+        e_d = (ez * (1.0 + z) - 1.0) / (z * z)
+    return z + alpha + beta * e, 1.0 + beta * e_d
 
 
-def _d_pair(alpha: float, beta: float, z):
-    """D = chi/lambda and its derivative."""
-    d, ez, zs, small = _d(alpha, beta, z)
-    e_ratio_d = (ez * (1.0 + zs) - 1.0) / (zs * zs)
-    if np.any(small):
-        t = np.asarray(z, dtype=complex)[small]
-        e_ratio_d[small] = -0.5 + t / 3.0 - t**2 / 8.0 + t**3 / 30.0 - t**4 / 144.0
-    return d, 1.0 + beta * e_ratio_d
+def _slope_bound(beta: float, s: float) -> float:
+    """Bound M on ``|D'|`` along ``Re z = s``: ``|E'(z)|``, the modulus of the
+    integral of ``u exp(-z u)`` over u in [0, 1], is at most its value
+    ``(1 - exp(-s)(1 + s))/s^2`` at ``z = s`` (a series near ``s = 0``)."""
+    if abs(s) < 1e-3:
+        return 1.0 + beta * (0.5 - s / 3.0 + s * s / 8.0 - s**3 / 30.0)
+    return 1.0 + beta * (-math.expm1(-s) - s * math.exp(-s)) / (s * s)
 
 
 def _half_plane_count(alpha: float, beta: float, s: float) -> int:
-    """Number of roots of D with ``Re > s``, from the phase of D along ``Re z = s``.
+    """Number of roots of D with ``Re > s``, proven from the phase of D along ``Re z = s``.
 
     For ``|z| >= w``, ``|D/z - 1| < 1``, so D turns like z there, and with
     ``delta`` the phase change of ``D(s + i omega)`` for omega from 0 to
     infinity the argument principle on the half-plane gives
     ``N = 1/2 - delta/pi`` (Stepan 1989); conjugate symmetry covers omega < 0.
-    delta is the sum of principal phase steps on [0, w] plus the closed-form
-    tail beyond w.  The count is certified when every step stays below
-    0.5 rad and two successive grids agree; otherwise a root lies on or near
-    the line and :class:`RootFinderError` is raised.
+    delta is the closed-form tail beyond w plus principal phase steps over
+    [0, w].  A step is exact when M (:func:`_slope_bound`) times its length
+    is below ``|D|`` at one of its ends: D then stays in a disc that excludes
+    0.  Unproven steps are halved, starting from [0, w]; one still unproven
+    at length ``w / 2**30`` (``|D|`` far above its rounding) means a root on
+    or next to the line, and :class:`RootFinderError` is raised.
     """
     w = 0.5 * (abs(alpha) + math.sqrt(alpha * alpha + 4.0 * beta * (1.0 + math.exp(-s)))) + 1.0
     top = complex(s, w)
-    tail = 0.5 * math.pi - cmath.phase(top) - cmath.phase(_d(alpha, beta, top)[0] / top)
-    last = None
-    for m in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
-        dvals = _d(alpha, beta, s + 1j * w * (np.arange(m + 1) / m))[0]
-        with np.errstate(all="ignore"):  # a zero on the line gives NaN steps
-            steps = np.angle(dvals[1:] / dvals[:-1])
-        if not np.max(np.abs(steps)) < 0.5:
-            last = None
-            continue
-        count = round(0.5 - (float(np.sum(steps)) + tail) / math.pi)
-        if count == last:
-            return count
-        last = count
-    raise RootFinderError(
-        f"the phase count on Re z = {s} did not converge; a root may lie on the line"
-    )
+    d_hi = _d(alpha, beta, top)[0]
+    delta = 0.5 * math.pi - cmath.phase(top) - cmath.phase(d_hi / top)
+    bound = _slope_bound(beta, s)
+    lo, d_lo, hi = 0.0, _d(alpha, beta, complex(s, 0.0))[0], w
+    pending = []  # right halves still to walk, the nearest last
+    while True:
+        if bound * (hi - lo) < max(abs(d_lo), abs(d_hi)):
+            delta += cmath.phase(d_hi / d_lo)
+            if not pending:
+                return round(0.5 - delta / math.pi)
+            lo, d_lo = hi, d_hi
+            hi, d_hi = pending.pop()
+        elif hi - lo > w * 2.0**-30:
+            pending.append((hi, d_hi))
+            hi = 0.5 * (lo + hi)
+            d_hi = _d(alpha, beta, complex(s, hi))[0]
+        else:
+            raise RootFinderError(f"no proven phase count on Re z = {s}; a root may lie on it")
 
 
 def _collocation_generator(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,12 +314,13 @@ def _collocation_generator(n: int) -> tuple[np.ndarray, np.ndarray]:
 _GENERATOR, _WEIGHTS = _collocation_generator(_CHEB_NODES)
 
 
-def _eigen_roots(alpha: float, beta: float, lo: float) -> np.ndarray:
+def _eigen_roots(alpha: float, beta: float, lo: float) -> list[complex]:
     """Roots of D with ``Re >= lo``, from the eigenvalues of the generator.
 
-    Only the eigenvalues with ``Im >= 0`` and ``Re > lo - 1`` are polished
-    by Newton steps on D; the conjugates of the non-real results are added
-    afterwards, so non-real roots come in exact pairs.
+    Only the eigenvalues with ``Im >= 0`` and ``Re > lo - 1``, one to three
+    in a sweep, are polished by Newton steps on D in scalar arithmetic; the
+    conjugates of the non-real results are added afterwards, so non-real
+    roots come in exact pairs.
     Newton converges only linearly to an m-fold root and stalls about 1e-8
     from it; the mean of the m eigenvalues, polished by ``z - m D/D'``,
     replaces all m iterates once ``|D'|`` is at rounding level.
@@ -324,27 +329,37 @@ def _eigen_roots(alpha: float, beta: float, lo: float) -> np.ndarray:
     gen[0] = -beta * _WEIGHTS
     gen[0, 0] -= alpha
     lam = np.linalg.eigvals(gen)
-    z = lam = lam[(lam.imag >= 0.0) & (lam.real > lo - 1.0)]
-    with np.errstate(all="ignore"):
-        for _ in range(20):
-            dval, dpval = _d_pair(alpha, beta, z)
-            step = dval / dpval
-            z = z - step
-            # a step below 1e-13 leaves the root at the rounding floor, which
-            # the caller's |chi| check relies on; non-finite iterates from
-            # diverging starts do not hold the loop and fail every test below
-            if not np.any(np.abs(step) > 1e-13 * (1.0 + np.abs(z))):
+    found = []  # (root, eigenvalue it was polished from)
+    for start in lam[(lam.imag >= 0.0) & (lam.real > lo - 1.0)].tolist():
+        z = start
+        try:
+            for _ in range(20):
+                dval, dpval = _d(alpha, beta, z)
+                step = dval / dpval
+                z -= step
+                # a step below 1e-13 leaves the root at the rounding floor, which
+                # the caller's |chi| check relies on; a NaN fails every test below
+                if not abs(step) > 1e-13 * (1.0 + abs(z)):
+                    break
+        except (OverflowError, ZeroDivisionError):
+            continue  # a diverging start: the phase count misses its root
+        found.append((z, start))
+        if z.imag != 0.0:
+            found.append((z.conjugate(), start.conjugate()))
+    roots = [z for z, _ in found]
+    for z, _ in found:
+        row = [j for j, (y, _) in enumerate(found) if abs(z - y) <= 1e-6 * (1.0 + abs(y))]
+        if len(row) < 2:
+            continue
+        zc = sum(found[j][1] for j in row) / len(row)
+        for _ in range(8):  # a simple root stays as polished
+            dval, dpval = _d(alpha, beta, zc)
+            if not abs(dpval) > _MULTIPLE_DP * (1.0 + beta):
+                for j in row:
+                    roots[j] = zc
                 break
-        z, lam = [np.concatenate([v, v[z.imag != 0.0].conj()]) for v in (z, lam)]
-        near = np.abs(z[:, None] - z[None, :]) <= 1e-6 * (1.0 + np.abs(z))
-        for row in near[near.sum(axis=1) > 1]:
-            zc = lam[row].mean(keepdims=True)
-            for _ in range(8):  # no step once |D'| is at rounding level
-                dval, dpval = _d_pair(alpha, beta, zc)
-                big = np.abs(dpval) > _MULTIPLE_DP * (1.0 + beta)
-                zc = np.where(big, zc - row.sum() * dval / dpval, zc)
-            z[row] = np.where(big, z[row], zc)  # a simple root stays as polished
-    return z[z.real >= lo]
+            zc -= len(row) * dval / dpval
+    return [z for z in roots if z.real >= lo]
 
 
 def rightmost_roots(params: StabilityParams, sigma: float = -0.5) -> list[complex]:
@@ -352,9 +367,10 @@ def rightmost_roots(params: StabilityParams, sigma: float = -0.5) -> list[comple
 
     The ever-present zero root is handled by deflation so it cannot
     contaminate counts of nearby roots; it is reported whenever
-    ``sigma < 0``.  Each returned root satisfies ``|chi(root)| <= 1e-10``
-    and non-real roots come in conjugate pairs.  Roots are sorted by
-    descending real part.
+    ``sigma < 0``.  The roots, polished by scalar Newton steps, must match
+    the proven phase count of :func:`_half_plane_count`.  Each returned root
+    satisfies ``|chi(root)| <= 1e-10`` and non-real roots come in conjugate
+    pairs.  Roots are sorted by descending real part.
 
     Raises
     ------
@@ -369,27 +385,26 @@ def rightmost_roots(params: StabilityParams, sigma: float = -0.5) -> list[comple
     alpha, beta = params.alpha, params.beta
     roots = _eigen_roots(alpha, beta, sigma - 0.5)
     # count on the line through the widest root-free gap of [sigma - 0.5, sigma]
-    edges = np.sort(np.r_[sigma - 0.5, roots.real[roots.real < sigma], sigma])
-    i = int(np.argmax(np.diff(edges)))
-    line = 0.5 * (edges[i] + edges[i + 1])
-    roots = roots[roots.real > line]
+    edges = sorted([sigma - 0.5, sigma] + [z.real for z in roots if z.real < sigma])
+    left, right = max(zip(edges, edges[1:]), key=lambda e: e[1] - e[0])
+    line = 0.5 * (left + right)
+    roots = [z for z in roots if z.real > line]
     count = _half_plane_count(alpha, beta, line)
     if len(roots) != count:
         raise RootFinderError(
             f"located {len(roots)} roots right of Re z = {line} but the phase count is {count}"
         )
     # two eigenvalues polished onto one simple root would hide a missed root
-    gaps = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(gaps, math.inf)
-    same = roots[np.min(gaps, axis=1, initial=math.inf) <= 1e-9]
-    if len(same) and np.any(np.abs(_d_pair(alpha, beta, same)[1]) > _MULTIPLE_DP * (1 + beta)):
-        raise RootFinderError("two eigenvalues were polished onto the same simple root")
-    resid = np.abs(char_eval(params, roots))
-    if count and np.max(resid) > _CHI_RESIDUAL_TOL:
+    for z in roots:
+        if sum(abs(z - y) <= 1e-9 for y in roots) > 1 \
+                and abs(_d(alpha, beta, z)[1]) > _MULTIPLE_DP * (1 + beta):
+            raise RootFinderError("two eigenvalues were polished onto the same simple root")
+    resid = [abs(char_eval(params, z)) for z in roots]
+    if resid and max(resid) > _CHI_RESIDUAL_TOL:
         raise RootFinderError(f"roots {roots} have characteristic residuals {resid}")
 
     # a multiple root is reported once; a root of D at zero is the zero root
-    final = [complex(z) for z in np.unique(roots) if abs(z) > 1e-9 and z.real > sigma]
+    final = [z for z in set(roots) if abs(z) > 1e-9 and z.real > sigma]
     if sigma < 0.0:
         final.append(0j)
     final.sort(key=lambda z: (-z.real, abs(z.imag), z.imag))

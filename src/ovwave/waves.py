@@ -244,8 +244,10 @@ def branch_eval(spec: OvfSpec, h: float, which) -> WavefrontPoint | None:
     ``c/V(c)`` is strictly monotone on each branch's speed interval, so the
     inverse is computed by bisection there and polished on the residual.
     Raises :class:`DomainError` for ``h <= h_star``, where neither branch is
-    defined.
+    defined, and :class:`ParameterError` for a non-finite ``h``.
     """
+    if not math.isfinite(h):
+        raise ParameterError(f"h must be finite, got {h}")
     which = _normalize_branch(which)
     cp = critical_pair(spec)
     if not h > cp.h_star:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ovwave as ow
 from ovwave import stability
@@ -91,6 +91,11 @@ def test_boundary_curve_endpoints():
     assert ow.c1_boundary_beta(-2.0) == pytest.approx(2.0, abs=1e-9)
     assert ow.c1_boundary_beta(-2.1) is None
     assert ow.c1_boundary_beta(0.1) is None
+    assert ow.c1_boundary_beta(-math.inf) is None
+    assert ow.c1_boundary_beta(math.inf) is None
+    with pytest.raises(ow.ParameterError, match="alpha") as err:
+        ow.c1_boundary_beta(math.nan)
+    assert err.type is ow.ParameterError  # not the bisection's BracketError
 
 
 def test_boundary_curve_just_left_of_the_beta_axis():
@@ -208,6 +213,33 @@ def test_count_on_a_line_through_a_root_fails():
         stability._half_plane_count(-0.2, 0.0010026, 0.1990908978536169)
 
 
+def test_count_proves_a_close_pair_next_to_the_line():
+    # D has a double root at 1.454301 + 7.725252i for these parameters; 1e-3
+    # more beta splits it into two roots 0.023 apart; along a line 2e-3 left
+    # of the nearer one, uniform grids of up to 8192 points do not settle the
+    # phase count, and the bound on |D'| needs steps down to 3e-6 (w / 2**22)
+    alpha, beta = -4.908602646533848, 66.70311092949919 + 1e-3
+    roots = ow.rightmost_roots(P(alpha, beta), sigma=0.0)
+    line = min(z.real for z in roots if abs(z - (1.454301 + 7.725252j)) < 0.05) - 2e-3
+    assert sum(z.real > line for z in roots) == 4
+    assert stability._half_plane_count(alpha, beta, line) == 4
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.0, 100.0), s=st.floats(-2.0, 1.0))
+@example(beta=100.0, s=0.0)
+@example(beta=100.0, s=-5e-4)
+def test_slope_bound_holds_along_the_line(beta, s):
+    # D'(z) = 1 - beta * (integral of u exp(-z u) over u in [0, 1]) does not
+    # depend on alpha; 48-point Gauss-Legendre sums it to rounding for
+    # |Im z| <= 40, past the top w < 35 of every count with alpha in [-8, 0]
+    u, weights = np.polynomial.legendre.leggauss(48)
+    u, weights = 0.5 * (u + 1.0), 0.5 * weights
+    z = s + 1j * np.linspace(0.0, 40.0, 2001)
+    slope = 1.0 - beta * (np.exp(-np.outer(z, u)) * u) @ weights
+    assert np.max(np.abs(slope)) <= stability._slope_bound(beta, s) * (1.0 + 1e-12)
+
+
 @pytest.mark.parametrize("shift", [0.25, 0.2509091021463831, 0.5])
 def test_counting_line_is_placed_away_from_a_root(shift):
     # the window [sigma - 0.5, sigma] holds the real root 0.199 (shift 0.25
@@ -299,6 +331,43 @@ def test_double_real_root_is_reported_once():
     near = [z for z in roots if abs(z - z0) < 1e-3]
     assert len(near) == 1
     assert abs(near[0] - z0) <= 1e-12
+
+
+# (alpha, beta, sigma, roots) frozen from the array-based Newton polish: the
+# reference examples 1-3, a deep window at the corner of the property tests,
+# a point on C1, the corner (-2, 2), the double real root at -0.7, beta = 0,
+# and both branches at the ends of the sweep family make_vq(1, 0), h in [5.5, 8]
+_PINNED_ROOTS = [
+    (-0.2, 0.398997487421324, -0.5, [0j, -0.25432405814444403 + 0j]),
+    (-0.2, 0.001002512578676009, -0.5, [0.19909097715728047 + 0j, 0j]),
+    (-1.5, 2.8245435885245658, -0.5,
+     [0.07679776938165633 - 1.8613391853130385j, 0.07679776938165633 + 1.8613391853130385j, 0j]),
+    (-8.0, 100.0, -2.0,
+     [3.9840063303647666 - 9.26485840461365j, 3.9840063303647666 + 9.26485840461365j,
+      0.36197412589343125 - 7.122653238597716j, 0.36197412589343125 + 7.122653238597716j, 0j,
+      -0.577725423423793 - 14.840809713158865j, -0.577725423423793 + 14.840809713158865j,
+      -1.4240135546438983 - 21.398164465651675j, -1.4240135546438983 + 21.398164465651675j,
+      -1.9921983653109618 - 27.80256259636891j, -1.9921983653109618 + 27.80256259636891j]),
+    (-1.5, 2.552140395779481, -0.5,
+     [0j, -3.56126041204098e-16 - 1.6894616869165637j,
+      -3.56126041204098e-16 + 1.6894616869165637j]),
+    (-2.0, 2.0, -0.5, [0j]),
+    (-1.092556618168791, 1.2377669854506372, -2.0, [0j, -0.7000000000000304 + 0j]),
+    (-0.2, 0.0, -0.5, [0.2 + 0j, 0j]),
+    (-5.5, 10.623475382979802, -0.5,
+     [2.5239512692635135 - 1.8234248725894704j, 2.5239512692635135 + 1.8234248725894704j, 0j]),
+    (-5.5, 0.3765246170202009, -0.5, [5.430974471907228 + 0j, 0j]),
+    (-8.0, 15.745966692414834, -0.5, [4.637554285673836 + 0j, 2.9692387850767585 + 0j, 0j]),
+    (-8.0, 0.25403330758516623, -0.5, [7.9681298707033426 + 0j, 0j]),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, sigma, pinned", _PINNED_ROOTS)
+def test_roots_match_pinned_values(alpha, beta, sigma, pinned):
+    roots = ow.rightmost_roots(P(alpha, beta), sigma)
+    assert len(roots) == len(pinned)
+    for z, ref in zip(roots, pinned):  # same order, the zero root exactly
+        assert abs(z - ref) <= 1e-13 * abs(ref), (z, ref)
 
 
 def test_simple_root_polished_twice_fails_the_certificate(monkeypatch):

@@ -99,6 +99,10 @@ def test_branch_eval_domain_error_at_or_below_onset(vq100):
         ow.branch_eval(vq100, cp.h_star, 1)
     with pytest.raises(ow.DomainError):
         ow.branch_eval(vq100, 0.5 * cp.h_star, 2)
+    for h in (math.nan, math.inf):
+        for which in (1, 2):
+            with pytest.raises(ow.ParameterError, match="h must be finite"):
+                ow.branch_eval(vq100, h, which)
 
 
 def test_branch_ordering_and_monotonicity(vq100):
