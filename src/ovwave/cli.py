@@ -28,6 +28,7 @@ from .errors import (
     NumericalError,
     OvwaveError,
     ParameterError,
+    check_finite,
 )
 from .lattice import lattice_to_csv, wavefront_to_lattice
 from .solver import (
@@ -333,9 +334,7 @@ def _cmd_lattice(args) -> None:
         raise ParameterError(f"n_times must be at least 1, got {args.n_times}")
     cfg = _load_config(args)
     _, _, traj = _integrate_config(cfg)
-    t_max = args.t_max if args.t_max is not None else cfg.h
-    if not math.isfinite(t_max):
-        raise ParameterError(f"t_max must be finite, got {t_max}")
+    t_max = check_finite("t_max", args.t_max if args.t_max is not None else cfg.h)
     times = np.linspace(0.0, t_max, args.n_times)
     run = wavefront_to_lattice(traj, cfg.h, (args.j_min, args.j_max), times)
     lattice_to_csv(run, Path(args.out) / "lattice.csv", headways=args.headways)
@@ -437,3 +436,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

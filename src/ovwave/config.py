@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .ovf import OvfSpec, make_vq
 from .solver import Segment, _check_tolerances
 from .waves import branch_eval
@@ -83,17 +83,14 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if isinstance(getattr(self, f.name), float):
+                check_finite(f.name, getattr(self, f.name), error=ConfigError)
         if self.ovf_kind != "vq":
             raise ConfigError(f"unsupported ovf kind {self.ovf_kind!r}")
-        if not self.v_max > 0:
-            raise ConfigError(f"v_max must be positive, got {self.v_max}")
+        for name in ("v_max", "h", "t_end", "dt"):
+            check_finite(name, getattr(self, name), positive=True, error=ConfigError)
         if self.d_s < 0:
             raise ConfigError(f"d_s must be nonnegative, got {self.d_s}")
-        if not self.h > 0:
-            raise ConfigError(f"h must be positive, got {self.h}")
         if self.branch not in (None, 1, 2):
             raise ConfigError(f"branch must be 1 or 2, got {self.branch}")
         if self.branch is None and self.c is None and self.segment == "auto":
@@ -104,11 +101,7 @@ class ExperimentConfig:
             raise ConfigError("segment = affine requires a slope")
         if self.segment == "sampled" and self.samples is None:
             raise ConfigError("segment = sampled requires a samples path")
-        if not self.t_end > 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
         _check_tolerances(self.tol_rel, self.tol_abs, ConfigError)
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
 
     def build_ovf(self) -> OvfSpec:
         return make_vq(self.v_max, self.d_s)

@@ -5,6 +5,8 @@ problems exit with 2, numerical failures with 3, and cross-check
 disagreements with 4.
 """
 
+import math
+
 
 class OvwaveError(Exception):
     """Base class for every error raised by this package."""
@@ -44,3 +46,13 @@ class SingularityError(NumericalError):
 
 class ConsistencyError(OvwaveError):
     """Two independent computations of the same quantity disagree."""
+
+
+def check_finite(name: str, value, *, positive: bool = False, error=ParameterError) -> float:
+    """``value`` as a float; raises ``error`` unless it is finite (and, with ``positive``, > 0)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise error(f"{name} must be finite, got {value}")
+    if positive and not x > 0.0:
+        raise error(f"{name} must be positive, got {value}")
+    return x

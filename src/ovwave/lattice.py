@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rk import RkDriver
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_finite
 from .ovf import OvfSpec
 from .solver import _check_tolerances, _column, _write_csv
 
@@ -70,8 +70,7 @@ def wavefront_to_lattice(traj, h: float, j_range, times) -> LatticeRun:
     Every requested argument must fall inside the profile's domain,
     otherwise :class:`DomainError` lists the offending (j, t) pairs.
     """
-    if not h > 0:
-        raise ParameterError(f"h must be positive, got {h}")
+    h = check_finite("h", h, positive=True)
     j_lo, j_hi = int(j_range[0]), int(j_range[1])
     if j_hi < j_lo:
         raise ParameterError(f"empty car index range {j_range}")
@@ -113,6 +112,7 @@ def wavefront_to_lattice(traj, h: float, j_range, times) -> LatticeRun:
 
 def leader_from_trajectory(traj, h: float, j: int = 0):
     """The car-``j`` motion of a profile as a leader callable t -> (x, v)."""
+    h = check_finite("h", h, positive=True)
 
     def leader(t: float):
         w = np.asarray(traj(-t / h - j), dtype=float)
@@ -123,29 +123,27 @@ def leader_from_trajectory(traj, h: float, j: int = 0):
 
 def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
                        tol_rel: float = 1e-9, tol_abs: float = 1e-12,
-                       leader_index: int = 0, times=None) -> LatticeRun:
+                       times=None) -> LatticeRun:
     """Integrate ``n_cars`` followers behind a prescribed leading car.
 
     ``leader`` maps time to the leading car's (position, velocity); ``init``
     holds one (position, velocity) row per follower at t = 0, ordered back
     to front, strictly increasing and below the leader.  Error control
     matches the delay integrator's contract.  Follower indices are
-    ``leader_index - n_cars .. leader_index - 1``.
+    ``-n_cars .. -1``, the leader's 0.
     """
     if n_cars < 1:
         raise ParameterError(f"n_cars must be >= 1, got {n_cars}")
-    if not 0 < t_end < np.inf:
-        raise ParameterError(f"t_end must be positive and finite, got {t_end}")
+    t_end = check_finite("t_end", t_end, positive=True)
     _check_tolerances(tol_rel, tol_abs)
     init = np.asarray(init, dtype=float)
     if init.shape != (n_cars, 2):
         raise ParameterError(f"init must have shape ({n_cars}, 2), got {init.shape}")
     x0 = init[:, 0]
     lead0 = float(leader(0.0)[0])
-    if not (np.all(np.diff(x0) > 0.0) and x0[-1] < lead0):
-        raise ParameterError(
-            "initial positions must increase strictly up to the leader"
-        )
+    if not (np.isfinite(init).all() and np.all(np.diff(x0) > 0.0) and x0[-1] < lead0):
+        raise ParameterError("initial states must be finite, with positions increasing "
+                             "strictly up to the leader")
 
     value = spec.eval
     n = n_cars
@@ -159,7 +157,7 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
         acc = value(gaps) - v
         return np.concatenate([v, acc])
 
-    driver = RkDriver(0.0, init.T.ravel(), float(t_end), tol_rel, tol_abs).run(f)
+    driver = RkDriver(0.0, init.T.ravel(), t_end, tol_rel, tol_abs).run(f)
     t_hi = t_end * (1.0 + 1e-12)
 
     def motion(t):
@@ -172,13 +170,13 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
         return w
 
     if times is None:
-        times = np.linspace(0.0, float(t_end), 200)
+        times = np.linspace(0.0, t_end, 200)
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= t_hi)):
         raise ParameterError("output times must be finite and lie within [0, t_end]")
     state = motion(times)
     return LatticeRun(
-        j_indices=np.arange(leader_index - n_cars, leader_index),
+        j_indices=np.arange(-n_cars, 0),
         times=times,
         positions=state[:, :n, 0],
         velocities=state[:, :n, 1],

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_finite
 
 __all__ = ["OvfSpec", "AxiomViolation", "make_vq", "ovf_axiom_check"]
 
@@ -56,10 +56,7 @@ class OvfSpec:
 
     def __post_init__(self):
         for name in ("v_max", "d_s", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.v_max > 0:
-            raise ParameterError(f"v_max must be positive, got {self.v_max}")
+            check_finite(name, getattr(self, name), positive=name == "v_max")
         if self.d_s < 0:
             raise ParameterError(f"d_s must be nonnegative, got {self.d_s}")
         if not self.b > self.d_s:

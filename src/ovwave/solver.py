@@ -30,7 +30,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from ._rk import RkDriver, dense_output, quartic
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_finite
 from .ovf import OvfSpec
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
     "trajectory_metadata",
 ]
 
-_SAMPLES_PER_UNIT = 64  # sup-norm sampling density for segment/history norms
+_SAMPLES_PER_UNIT = 64  # sampling density of the Gronwall check's sup norms
 
 
 class Segment:
@@ -65,7 +65,7 @@ class Segment:
 
     @classmethod
     def constant(cls, d):
-        d = float(d)
+        d = check_finite("d", d)
         return cls(
             lambda s: np.full_like(np.asarray(s, dtype=float), d),
             lambda s: np.zeros_like(np.asarray(s, dtype=float)),
@@ -74,8 +74,8 @@ class Segment:
 
     @classmethod
     def affine(cls, slope, offset=0.0):
-        slope = float(slope)
-        offset = float(offset)
+        slope = check_finite("slope", slope)
+        offset = check_finite("offset", offset)
         return cls(
             lambda s: slope * np.asarray(s, dtype=float) + offset,
             lambda s: np.full_like(np.asarray(s, dtype=float), slope),
@@ -85,7 +85,7 @@ class Segment:
     @classmethod
     def quasi_stationary(cls, speed, offset=0.0):
         """History of a constant-speed profile ``z(s) = -speed*s + offset``."""
-        seg = cls.affine(-float(speed), offset)
+        seg = cls.affine(-check_finite("speed", speed), offset)
         seg.description = {"kind": "quasi_stationary", "speed": float(speed), "offset": float(offset)}
         return seg
 
@@ -109,7 +109,7 @@ class Segment:
 
     def shifted(self, d):
         """The same history with the position component moved by ``d``."""
-        d = float(d)
+        d = check_finite("d", d)
         pos, vel = self._position, self._velocity
         desc = dict(self.description)
         desc["shifted_by"] = desc.get("shifted_by", 0.0) + d
@@ -117,19 +117,13 @@ class Segment:
 
     def __call__(self, s):
         arr = np.asarray(s, dtype=float)
-        if np.any(arr < -1.0 - 1e-12) or np.any(arr > 1e-12):
+        if not (np.all(arr >= -1.0 - 1e-12) and np.all(arr <= 1e-12)):  # NaN fails
             raise DomainError(f"segment evaluated outside [-1, 0]: s={s}")
-        out = np.stack(
+        return np.stack(
             [np.asarray(self._position(arr), dtype=float),
              np.asarray(self._velocity(arr), dtype=float)],
             axis=-1,
         )
-        return out
-
-    def sup_norm(self):
-        """Sup of the Euclidean norm over [-1, 0], sampled 64 per unit."""
-        s = np.linspace(-1.0, 0.0, _SAMPLES_PER_UNIT + 1)
-        return float(np.max(np.linalg.norm(self(s), axis=-1)))
 
 
 @dataclass
@@ -181,10 +175,8 @@ class Trajectory:
         arr = np.asarray(t, dtype=float)
         lo, hi = self.domain
         slack = 1e-9 * max(1.0, hi - lo)
-        if (arr < lo - slack).any() or (arr > hi + slack).any():
-            raise DomainError(
-                f"trajectory evaluated outside [{lo}, {hi}]"
-            )
+        if not ((arr >= lo - slack).all() and (arr <= hi + slack).all()):  # NaN fails
+            raise DomainError(f"trajectory evaluated outside [{lo}, {hi}]")
         flat = np.minimum(np.maximum(arr, lo), hi).ravel()
         out = dense_output(self.mesh, self._ys, self._qs, flat)
         past = flat < self.t0
@@ -201,8 +193,8 @@ class AffineTrajectory:
     """
 
     def __init__(self, slope, offset=0.0):
-        self.slope = float(slope)
-        self.offset = float(offset)
+        self.slope = check_finite("slope", slope)
+        self.offset = check_finite("offset", offset)
         self.t0 = 0.0
         self.t_end = math.inf
 
@@ -212,6 +204,8 @@ class AffineTrajectory:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
+        if not np.isfinite(arr).all():
+            raise DomainError("affine trajectory evaluated outside (-inf, inf)")
         return np.stack(
             [self.slope * arr + self.offset, np.full_like(arr, self.slope)],
             axis=-1,
@@ -232,8 +226,7 @@ def rhs(spec: OvfSpec, h: float, segment) -> tuple[float, float]:
     position and velocity components of the segment and ``V`` the optimal
     velocity function.  :func:`integrate` steps with the same law.
     """
-    if not h > 0:
-        raise ParameterError(f"h must be positive, got {h}")
+    h = check_finite("h", h, positive=True)
     tail = np.asarray(segment(-1.0), dtype=float)
     head = np.asarray(segment(0.0), dtype=float)
     gap = float(tail[0]) - float(head[0])
@@ -260,10 +253,8 @@ def integrate(spec: OvfSpec, h: float, phi: Segment, t_end: float,
     :class:`NumericalError` when the step budget runs out and
     :class:`DomainError` if the right-hand side turns non-finite.
     """
-    if not h > 0:
-        raise ParameterError(f"h must be positive, got {h}")
-    if not 0 < t_end < math.inf:
-        raise ParameterError(f"t_end must be positive and finite, got {t_end}")
+    h = check_finite("h", h, positive=True)
+    t_end = check_finite("t_end", t_end, positive=True)
     _check_tolerances(tol_rel, tol_abs)
     accel = _acceleration(spec, h)
     position = phi._position  # lagged times in [-1, 0] need no domain check
@@ -319,7 +310,7 @@ def gronwall_report(traj) -> tuple[bool, float]:
         return True, math.inf
     sup = np.max(np.lib.stride_tricks.sliding_window_view(norms, win), axis=-1)
     t = grid[win - 1:]
-    phi_norm = traj.phi.sup_norm()
+    phi_norm = float(sup[0])
     if phi_norm == 0.0:
         ok = bool(np.max(sup) <= 10.0 * traj.tol_abs)
         return ok, math.inf if ok else -math.inf
@@ -381,8 +372,7 @@ def _write_csv(path, header: str, columns) -> None:
 
 def trajectory_to_csv(traj: Trajectory, path, dt: float) -> None:
     """Write t, z, dz rows sampled every ``dt`` over the full domain."""
-    if not 0 < dt < math.inf:
-        raise ParameterError(f"dt must be positive and finite, got {dt}")
+    dt = check_finite("dt", dt, positive=True)
     lo, hi = traj.domain
     n = int(math.floor((hi - lo) / dt + 1e-9))
     ts = lo + dt * np.arange(n + 1)

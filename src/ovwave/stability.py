@@ -48,6 +48,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     RootFinderError,
+    check_finite,
 )
 from .ovf import OvfSpec
 from .waves import BRANCH1, BRANCH2, DEGENERATE, WavefrontPoint, branch_eval
@@ -100,11 +101,9 @@ class StabilityParams:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise DomainError(f"alpha and beta must be finite, got ({self.alpha}, {self.beta})")
-        if self.alpha > 0:
+        if check_finite("alpha", self.alpha, error=DomainError) > 0:
             raise DomainError(f"alpha must be <= 0, got {self.alpha}")
-        if self.beta < 0:
+        if check_finite("beta", self.beta, error=DomainError) < 0:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
 
@@ -119,17 +118,17 @@ class StabilityVerdict:
 
 
 def char_eval(params: StabilityParams, lam):
-    """chi(lambda) = lambda^2 + alpha*lambda + beta*(1 - exp(-lambda))."""
+    """chi(lambda) = lambda^2 + alpha*lambda + beta*(1 - exp(-lambda)), lambda real or complex."""
+    check_finite("|lambda|", abs(lam), error=DomainError)
     lam = np.asarray(lam)
-    out = lam * lam + params.alpha * lam + params.beta * (1.0 - np.exp(-lam))
-    return out.item() if out.ndim == 0 else out
+    return (lam * lam + params.alpha * lam + params.beta * (1.0 - np.exp(-lam))).item()
 
 
 def char_deriv(params: StabilityParams, lam):
-    """chi'(lambda) = 2*lambda + alpha + beta*exp(-lambda)."""
+    """chi'(lambda) = 2*lambda + alpha + beta*exp(-lambda), lambda real or complex."""
+    check_finite("|lambda|", abs(lam), error=DomainError)
     lam = np.asarray(lam)
-    out = 2.0 * lam + params.alpha + params.beta * np.exp(-lam)
-    return out.item() if out.ndim == 0 else out
+    return (2.0 * lam + params.alpha + params.beta * np.exp(-lam)).item()
 
 
 def stability_params(spec: OvfSpec, point: WavefrontPoint) -> StabilityParams:
@@ -161,10 +160,14 @@ def c1_curve(nu: float) -> tuple[float, float]:
 _C1_ALPHA_TOP = _c1_alpha(math.pi - 1e-9)
 
 
-def _c1_nu_from_alpha(alpha: float) -> float:
-    """Invert the alpha coordinate; monotone increasing from -2 to 0."""
-    return bisect(lambda nu: _c1_alpha(nu) - alpha, 1e-9, math.pi - 1e-9,
-                  xtol=1e-15 * math.pi)
+def _c1_side(alpha: float, beta: float) -> float:
+    """``_c1_alpha(sqrt(min(2 beta - alpha^2, 4 pi)))``, or -inf if ``2 beta <= alpha^2``.
+
+    On C1 ``2 beta = alpha^2 + nu^2``.  ``_c1_alpha`` increases from -2 to 0.72
+    on (0, sqrt(4 pi)], so for alpha in [-2, 0] this is alpha on C1, less than
+    alpha under it and more over it."""
+    arg = 2.0 * beta - alpha * alpha
+    return _c1_alpha(math.sqrt(min(arg, 4.0 * math.pi))) if arg > 0.0 else -math.inf
 
 
 def c1_boundary_beta(alpha: float):
@@ -185,31 +188,31 @@ def c1_boundary_beta(alpha: float):
         return _BETA_AXIS_TOP + 2.0 * alpha
     if alpha < -2.0 + 1e-13:
         return 2.0
-    return _c1_beta(_c1_nu_from_alpha(alpha))
+    # alpha increases with nu from -2 to 0
+    return _c1_beta(bisect(lambda nu: _c1_alpha(nu) - alpha, 1e-9, math.pi - 1e-9,
+                           xtol=1e-15 * math.pi))
 
 
-def region_classify(params: StabilityParams, boundary_tol: float = _BOUNDARY_TOL) -> str:
+def region_classify(params: StabilityParams) -> str:
     """Locate (alpha, beta) relative to the stability region.
 
     ``inside_S`` requires ``-2 < alpha < 0`` and ``-alpha < beta`` below the
-    oscillatory boundary; points within ``boundary_tol`` of that curve are
+    oscillatory boundary; points within 1e-9 in beta of that curve are
     ``boundary_C1``; the two straight edges and their corners report
     ``boundary_other``; everything else is ``outside_S``.  Classification
     within the boundary tolerance is numerically meaningless, so callers
-    near the curve should consult :func:`rightmost_roots` instead.
+    near the curve should consult :func:`rightmost_roots` instead.  The
+    side of C1 is read off in closed form (:func:`_c1_side`).
     """
-    a, bt = params.alpha, params.beta
-    if -2.0 - boundary_tol <= a <= 0.0:
-        beta_c1 = c1_boundary_beta(min(0.0, max(-2.0, a)))
-        if abs(bt - beta_c1) <= boundary_tol:
-            return BOUNDARY_C1
-    else:
-        beta_c1 = None
-    if abs(a) <= boundary_tol:
-        return BOUNDARY_OTHER if bt <= _BETA_AXIS_TOP + boundary_tol else OUTSIDE_S
-    if abs(bt + a) <= boundary_tol and a >= -2.0 - boundary_tol:
+    a, bt, tol = params.alpha, params.beta, _BOUNDARY_TOL
+    below_c1 = _c1_side(a, bt + tol) < a
+    if -2.0 - tol <= a <= 0.0 and not below_c1 and _c1_side(a, bt - tol) <= a:
+        return BOUNDARY_C1
+    if abs(a) <= tol:
+        return BOUNDARY_OTHER if bt <= _BETA_AXIS_TOP + tol else OUTSIDE_S
+    if abs(bt + a) <= tol and a >= -2.0 - tol:
         return BOUNDARY_OTHER
-    if -2.0 < a < 0.0 and -a < bt < beta_c1:
+    if -2.0 < a < 0.0 and -a < bt and below_c1:
         return INSIDE_S
     return OUTSIDE_S
 
@@ -464,22 +467,21 @@ def classify_wavefront(spec: OvfSpec, point: WavefrontPoint) -> StabilityVerdict
 def hopf_crossing(spec: OvfSpec, h_lo: float, h_hi: float) -> tuple[float, float]:
     """Locate the oscillatory-boundary crossing of branch 1 on [h_lo, h_hi].
 
-    Bisects the signed offset of ``beta(h)`` from the boundary curve.  The
-    endpoints must straddle the boundary, otherwise :class:`BracketError`
-    is raised.  Returns ``(h_H, omega)`` with ``|chi(i omega)| <= 1e-8`` at
-    the crossing parameters.
+    Bisects ``h + _c1_side(-h, beta(h))``, which has the sign of ``beta(h)``'s
+    offset from the boundary curve; the endpoints must straddle it, otherwise
+    :class:`BracketError` is raised.  Returns ``(h_H, omega)``, ``omega^2 = 2
+    beta - h_H^2``, with ``|chi(i omega)| <= 1e-8`` at the crossing parameters.
     """
-    if not (0 < h_lo < h_hi):
+    if not check_finite("h_lo", h_lo, positive=True) < check_finite("h_hi", h_hi):
         raise ParameterError(f"need 0 < h_lo < h_hi, got ({h_lo}, {h_hi})")
 
     def signed_offset(h: float) -> float:
         pt = branch_eval(spec, h, BRANCH1)
         if pt is None:
             raise ParameterError(f"branch 1 undefined at h={h}")
-        bc = c1_boundary_beta(-h)
-        if bc is None:
+        if h > 2.0:
             return math.inf  # alpha below -2: everything there is outside
-        return stability_params(spec, pt).beta - bc
+        return h + _c1_side(-h, stability_params(spec, pt).beta)
 
     s_lo = signed_offset(h_lo)
     s_hi = signed_offset(h_hi)
@@ -493,8 +495,8 @@ def hopf_crossing(spec: OvfSpec, h_lo: float, h_hi: float) -> tuple[float, float
         h_H = bisect(signed_offset, h_lo, h_hi, f_lo=s_lo, f_hi=s_hi,
                      xtol=1e-13 * max(1.0, h_hi))
 
-    omega = _c1_nu_from_alpha(-h_H)
     params = stability_params(spec, branch_eval(spec, h_H, BRANCH1))
+    omega = math.sqrt(max(0.0, 2.0 * params.beta - h_H * h_H))
     resid = abs(char_eval(params, 1j * omega))
     if resid > 1e-8:
         raise NumericalError(

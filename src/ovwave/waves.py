@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._scalar import bisect, newton_polish
-from .errors import DomainError, NumericalError, ParameterError, SingularityError
+from .errors import DomainError, NumericalError, ParameterError, SingularityError, check_finite
 from .ovf import OvfSpec, _eval_on
 
 __all__ = [
@@ -114,8 +114,7 @@ def find_constant_speeds(spec: OvfSpec, h: float) -> list[WavefrontPoint]:
     for every positive c.  A tangent double root is reported once with
     branch label ``degenerate``.
     """
-    if not h > 0:
-        raise ParameterError(f"h must be positive, got {h}")
+    h = check_finite("h", h, positive=True)
 
     def residual(c):
         return h * float(spec.eval(c)) - c
@@ -246,8 +245,7 @@ def branch_eval(spec: OvfSpec, h: float, which) -> WavefrontPoint | None:
     Raises :class:`DomainError` for ``h <= h_star``, where neither branch is
     defined, and :class:`ParameterError` for a non-finite ``h``.
     """
-    if not math.isfinite(h):
-        raise ParameterError(f"h must be finite, got {h}")
+    h = check_finite("h", h)
     which = _normalize_branch(which)
     cp = critical_pair(spec)
     if not h > cp.h_star:

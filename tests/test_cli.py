@@ -1,5 +1,7 @@
 import json
 import math
+import runpy
+import sys
 import tempfile
 
 import numpy as np
@@ -129,6 +131,19 @@ def test_example_cli_and_determinism(tmp_path):
     assert (out1 / "example1_series.csv").read_bytes() == (
         out2 / "example1_series.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("module", ["ovwave", "ovwave.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path, monkeypatch):
+    out = tmp_path / "ex1"
+    monkeypatch.setattr(sys, "argv", [module, "example", "1", "--out", str(out)])
+    # runpy warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "ovwave.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert (out / "example1_series.csv").is_file()
+    assert (out / "example1_verdict.json").is_file()
 
 
 def test_perturb_zero_offset_stays_on_wavefront(tmp_path):

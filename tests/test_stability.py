@@ -131,6 +131,37 @@ def test_boundary_curve_self_consistency():
             assert lit == pytest.approx(beta, abs=1e-10)
 
 
+def _label_from_inverted_curve(alpha, beta):
+    # the region rule with the boundary beta from c1_boundary_beta's inversion
+    tol, beta_c1 = 1e-9, ow.c1_boundary_beta(alpha)
+    if abs(beta - beta_c1) <= tol:
+        return ow.BOUNDARY_C1
+    if abs(alpha) <= tol:
+        return ow.BOUNDARY_OTHER if beta <= math.pi**2 / 2.0 + tol else ow.OUTSIDE_S
+    if abs(beta + alpha) <= tol:
+        return ow.BOUNDARY_OTHER
+    return ow.INSIDE_S if -2.0 < alpha < 0.0 and -alpha < beta < beta_c1 else ow.OUTSIDE_S
+
+
+def test_region_side_of_c1_in_closed_form():
+    # on C1, 2 beta = alpha^2 + nu^2, which region_classify reads without
+    # inverting the curve; its labels match those from the inversion on both
+    # sides of the tolerance band, along the curve and at both corners
+    nus = [1e-4, 1e-2, *np.linspace(0.05, math.pi - 0.05, 60).tolist(), math.pi - 1e-2,
+           math.pi - 1e-4, math.pi - 1e-6]
+    for nu in nus:
+        alpha, beta = c1_curve(nu)
+        assert 2.0 * beta == pytest.approx(alpha * alpha + nu * nu, rel=1e-14)
+    for alpha in [-2.0, -1e-10, 0.0, *(c1_curve(nu)[0] for nu in nus)]:
+        beta_c1 = ow.c1_boundary_beta(alpha)
+        assert ow.region_classify(P(alpha, beta_c1)) == ow.BOUNDARY_C1
+        for offset in (-1e-6, -2e-9, 2e-9, 1e-6):
+            label = ow.region_classify(P(alpha, beta_c1 + offset))
+            assert label == _label_from_inverted_curve(alpha, beta_c1 + offset), (alpha, offset)
+            if -1.9 < alpha < -1e-6:  # away from the corners
+                assert label == (ow.INSIDE_S if offset < 0.0 else ow.OUTSIDE_S)
+
+
 def test_boundary_points_carry_imaginary_pair():
     alpha = -1.5
     beta = ow.c1_boundary_beta(alpha)
