@@ -161,6 +161,8 @@ def ovf_axiom_check(spec: OvfSpec, grid) -> list[AxiomViolation]:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ParameterError("grid must be a one-dimensional array of >= 2 points")
+    if not np.all(np.isfinite(grid)):
+        raise ParameterError("grid must be finite")
     if not np.all(np.diff(grid) > 0):
         raise ParameterError("grid must be strictly increasing")
 

@@ -11,10 +11,11 @@ solution lies on one of two branches over ``h``:
 * branch 2: speeds in ``(c_star, infinity)``, slope product ``< 1``,
   strictly increasing in ``h``, defined for all ``h > h_star``.
 
-Root finding brackets sign changes of ``h V(c) - c`` on a geometric grid
-augmented with the stationary points of the residual (the at most two
-solutions of ``V'(c) = 1/h``), which guarantees every simple root is
-bracketed even arbitrarily close to the tangency.
+So the speeds at ``h > h_star`` are the two branch points, found by
+inverting the monotone ``c/V(c)`` on each branch's speed interval, and at
+``h = h_star`` the tangency ``c_star`` alone; :func:`find_constant_speeds`
+lists them through :func:`branch_eval` and :func:`critical_pair` and solves
+``h V(c) = c`` nowhere else.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from ._scalar import bisect, newton_polish
 from .errors import DomainError, NumericalError, ParameterError, SingularityError, check_finite
-from .ovf import OvfSpec, _eval_on
+from .ovf import OvfSpec
 
 __all__ = [
     "BRANCH1",
@@ -58,6 +57,15 @@ class WavefrontPoint:
     slope_product: float  # h * V'(c)
     branch: str
 
+    def __post_init__(self):
+        check_finite("h", self.h, positive=True)
+        check_finite("c", self.c)
+        check_finite("slope_product", self.slope_product)
+        if self.branch not in (BRANCH1, BRANCH2, DEGENERATE):
+            raise ParameterError(
+                f"unknown branch {self.branch!r}; use {BRANCH1!r}, {BRANCH2!r} or {DEGENERATE!r}"
+            )
+
     def residual(self, spec: OvfSpec) -> float:
         return self.h * float(spec.eval(self.c)) - self.c
 
@@ -77,106 +85,36 @@ def _label(slope_product: float) -> str:
     return BRANCH1 if slope_product > 1.0 else BRANCH2
 
 
-def _stationary_points(spec: OvfSpec, h: float) -> list[float]:
-    """Solutions of V'(c) = 1/h, at most one on each side of b."""
-    target = 1.0 / h
-    d_b = float(spec.deriv(spec.b))
-    if d_b < target:
-        return []
-    pts = []
-    # rising side: V' strictly increasing on (d_s, b)
-    lo = spec.d_s
-    if float(spec.deriv(lo)) <= target <= d_b:
-        pts.append(
-            bisect(lambda c: float(spec.deriv(c)) - target, lo, spec.b,
-                   xtol=1e-14 * max(1.0, spec.b))
-        )
-    # falling side: V' strictly decreasing on (b, inf)
-    hi = spec.b + max(1.0, spec.b)
-    for _ in range(200):
-        if float(spec.deriv(hi)) < target:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("could not bracket the falling solution of V'(c) = 1/h")
-    pts.append(
-        bisect(lambda c: float(spec.deriv(c)) - target, spec.b, hi,
-               xtol=1e-14 * max(1.0, hi))
-    )
-    return pts
+def _point(spec: OvfSpec, h: float, c: float) -> WavefrontPoint:
+    """The point at speed ``c``, labelled by its slope product ``h V'(c)``."""
+    sp = h * float(spec.deriv(c))
+    return WavefrontPoint(h=h, c=c, slope_product=sp, branch=_label(sp))
 
 
 def find_constant_speeds(spec: OvfSpec, h: float) -> list[WavefrontPoint]:
     """All speeds c > 0 with ``h V(c) = c``, ascending; 0, 1, or 2 entries.
 
-    The trivial c = 0 (and any c <= d_s, where V vanishes) is excluded.  An
-    empty list is a valid outcome: it occurs exactly when ``V'(c) < 1/h``
-    for every positive c.  A tangent double root is reported once with
-    branch label ``degenerate``.
+    By the branch theorem these are the two branch points of
+    :func:`branch_eval` for ``h > h_star`` (branch 1 is dropped for
+    ``h >= h_hat``), the tangency ``c_star`` alone when ``h`` lies on
+    ``h_star`` within the residual tolerance, and nothing below it.  The
+    trivial c = 0 (and any c <= d_s, where V vanishes) is excluded.  A tangent
+    double root is reported once with branch label ``degenerate``, also when
+    rounding splits it into two branch points.
     """
     h = check_finite("h", h, positive=True)
+    cp = critical_pair(spec)
+    if not h > cp.h_star:
+        p = _point(spec, h, cp.c_star)
+        return [p] if abs(p.residual(spec)) <= _RESIDUAL_TOL * max(1.0, p.c) else []
 
-    def residual(c):
-        return h * float(spec.eval(c)) - c
-
-    def residual_slope(c):
-        return h * float(spec.deriv(c)) - 1.0
-
-    # quick exit: max slope below 1/h means no intersections at all
-    if h * float(spec.deriv(spec.b)) < 1.0:
-        return []
-
-    d_s = spec.d_s
-    c_upper = h * spec.v_max  # every root satisfies c = h V(c) < h v_max
-    if c_upper <= d_s:
-        return []
-    span = c_upper - d_s
-    stationary = [c for c in _stationary_points(spec, h) if d_s < c < c_upper]
-
-    # geometric grid in (c - d_s), extended downward until the residual is
-    # negative so the smallest root is always bracketed from below
-    g_lo, g_hi = span * 1e-6, span
-    n_extend = 0
-    while residual(d_s + g_lo) > 0.0 and n_extend < 200:
-        g_lo /= 16.0
-        n_extend += 1
-    decades = max(1.0, math.log10(g_hi / g_lo))
-    grid = d_s + np.geomspace(g_lo, g_hi, max(64, int(48 * decades)))
-    nodes = np.unique(np.concatenate([grid, np.asarray(stationary)]))
-
-    vals = h * _eval_on(spec.eval, nodes) - nodes
-    roots: list[float] = []
-    for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
-        c = bisect(residual, nodes[i], nodes[i + 1], f_lo=vals[i], f_hi=vals[i + 1],
-                   xtol=1e-12 * max(1.0, nodes[i + 1]))
-        c = newton_polish(residual, residual_slope, c,
-                          bracket=(nodes[i], nodes[i + 1]))
-        roots.append(c)
-    roots.extend(float(c) for c in nodes[vals == 0.0] if c > d_s)
-    roots = sorted(set(roots))
-
-    # tangency: a stationary point of the residual sitting on zero is a
-    # double root; a noise-split pair collapses to the same point
-    if len(roots) == 2 and abs(roots[0] - roots[1]) <= 1e-6 * max(1.0, roots[1]):
-        s0 = h * float(spec.deriv(roots[0]))
-        s1 = h * float(spec.deriv(roots[1]))
-        if abs(s0 - 1.0) <= 1e-6 and abs(s1 - 1.0) <= 1e-6:
-            roots = [0.5 * (roots[0] + roots[1])]
-    if not roots:
-        for c_s in stationary:
-            if abs(residual(c_s)) <= _RESIDUAL_TOL * max(1.0, c_s):
-                c = newton_polish(residual_slope,
-                                  lambda c: h * float(spec.deriv2(c)), c_s)
-                if abs(residual(c)) <= _RESIDUAL_TOL * max(1.0, c):
-                    roots.append(c)
-        roots = sorted(set(roots))
-
-    points = []
-    for c in roots:
-        sp = h * float(spec.deriv(c))
-        points.append(WavefrontPoint(h=h, c=float(c), slope_product=sp, branch=_label(sp)))
-    if len(points) > 2:
-        raise NumericalError(f"more than two constant-speed roots reported: {points}")
+    points = [p for p in (branch_eval(spec, h, 1), branch_eval(spec, h, 2)) if p is not None]
+    if len(points) == 2:
+        p1, p2 = points
+        # a tangent double root split by rounding noise is one point
+        if abs(p1.c - p2.c) <= 1e-6 * max(1.0, p2.c) and all(
+                abs(p.slope_product - 1.0) <= 1e-6 for p in points):
+            points = [_point(spec, h, 0.5 * (p1.c + p2.c))]
     return points
 
 
@@ -290,9 +228,7 @@ def branch_eval(spec: OvfSpec, h: float, which) -> WavefrontPoint | None:
                    xtol=1e-15 * max(1.0, hi))
         bracket = (cp.c_star, hi)
 
-    c = newton_polish(residual, residual_slope, c, bracket=bracket)
-    sp = h * float(spec.deriv(c))
-    return WavefrontPoint(h=float(h), c=float(c), slope_product=sp, branch=_label(sp))
+    return _point(spec, h, newton_polish(residual, residual_slope, c, bracket=bracket))
 
 
 def branch_derivative(spec: OvfSpec, point: WavefrontPoint) -> float:

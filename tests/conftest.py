@@ -22,18 +22,29 @@ def vq_half():
     return ow.make_vq(1.0, 0.5)
 
 
-def quadratic_speeds(v_max: float, h: float) -> list[float]:
-    """Closed-form speeds for the rational family with zero safety distance.
+def quadratic_speeds(v_max: float, h: float, d_s: float = 0.0) -> list[float]:
+    """Speeds of the rational family from its polynomial form, ascending.
 
-    h*V(c) = c with V = v*c^2/(1+c^2) reduces to c^2 - h*v*c + 1 = 0, so the
-    speeds are h*v/2 -+ sqrt((h*v)^2/4 - 1).  Independent of the library's
-    bracketing root finder.
+    With ``u = c - d_s > 0`` and ``V = v*u^2/(1+u^2)``, ``h*V(c) = c`` reduces
+    to the cubic ``u^3 + (d_s - h*v)*u^2 + u + d_s = 0``; for ``d_s = 0`` it
+    is ``u`` times the quadratic ``u^2 - h*v*u + 1``.  The speeds are
+    ``d_s + u`` for its positive real roots, taken from ``np.roots`` and
+    polished by Newton steps on the cubic.  Independent of the library's
+    root finders.
     """
-    disc = (h * v_max) ** 2 / 4.0 - 1.0
-    if disc < 0:
-        return []
-    r = math.sqrt(disc)
-    return [h * v_max / 2.0 - r, h * v_max / 2.0 + r]
+    a = d_s - h * v_max
+    speeds = []
+    for r in np.roots([1.0, a, 1.0, d_s]):
+        if abs(r.imag) > 1e-9 * abs(r) or not r.real > 0.0:
+            continue
+        u = float(r.real)
+        for _ in range(4):
+            slope = (3.0 * u + 2.0 * a) * u + 1.0
+            if slope == 0.0:
+                break
+            u -= (((u + a) * u + 1.0) * u + d_s) / slope
+        speeds.append(d_s + u)
+    return sorted(speeds)
 
 
 @functools.cache

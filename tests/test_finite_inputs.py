@@ -75,6 +75,8 @@ _ENTRIES = {
         lambda f, h=0.2: [(p.h, p.c, p.slope_product) for p in ow.find_constant_speeds(f.vq, h)],
         ("h",)),
     "branch_eval": (lambda f, h=0.2: ow.branch_eval(f.vq, h, 1).c, ("h",)),
+    "WavefrontPoint": (lambda f, h=0.2, c=1.0, slope_product=2.0: ow.branch_derivative(
+        f.vq, ow.WavefrontPoint(h, c, slope_product, ow.BRANCH1)), ("h", "c", "slope_product")),
     "StabilityParams": (lambda f, alpha=-0.2, beta=0.4: ow.region_classify(
         ow.StabilityParams(alpha, beta)), ("alpha", "beta")),
     "char_eval": (lambda f, lam=0.5: ow.char_eval(f.params, lam), ("lam",)),

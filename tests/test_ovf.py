@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,21 @@ def test_axiom_check_rejects_bad_grid(vq100):
         ow.ovf_axiom_check(vq100, [1.0])
     with pytest.raises(ow.ParameterError):
         ow.ovf_axiom_check(vq100, [2.0, 1.0])
+    for grid in ([0.0, 1.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ow.ParameterError, match="grid must be finite"):
+            ow.ovf_axiom_check(vq100, grid)
+
+
+@pytest.mark.parametrize("slope_scale", [1.0, 1.02])
+def test_axiom_check_scalar_only_spec_matches_vectorised(vq100, slope_scale):
+    # an OVF that takes only scalars is evaluated point by point on the grid
+    spec = dataclasses.replace(vq100, deriv=lambda s: slope_scale * vq100.deriv(s))
+    scalar_only = dataclasses.replace(spec, eval=lambda s: spec.eval(float(s)),
+                                      deriv=lambda s: spec.deriv(float(s)))
+    grid = np.linspace(0.0, 10.0, 50)
+    report = ow.ovf_axiom_check(spec, grid)
+    assert bool(report) == (slope_scale != 1.0)
+    assert ow.ovf_axiom_check(scalar_only, grid) == report
 
 
 def test_violation_record_fields():

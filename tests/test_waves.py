@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -86,11 +85,34 @@ def test_branch_eval_reference_points(vq100, vq2841):
     assert p3.c == pytest.approx(0.2492, abs=1e-4)
 
 
-def test_branch_eval_matches_root_list(vq100):
-    for h in (0.05, 0.2, 0.7):
-        roots = ow.find_constant_speeds(vq100, h)
-        assert ow.branch_eval(vq100, h, 1).c == pytest.approx(roots[0].c, rel=1e-12)
-        assert ow.branch_eval(vq100, h, 2).c == pytest.approx(roots[1].c, rel=1e-12)
+def test_branch_eval_matches_root_list(vq100, vq_half):
+    # both entries against the cubic oracle, to 1e-12 relative
+    for spec, hs in ((vq100, (0.05, 0.2, 0.7)), (vq_half, (2.9, 3.0, 8.0))):
+        for h in hs:
+            oracle = quadratic_speeds(spec.v_max, h, spec.d_s)
+            assert len(oracle) == 2
+            roots = ow.find_constant_speeds(spec, h)
+            assert [p.c for p in roots] == pytest.approx(oracle, rel=1e-12)
+            for which, c in ((1, oracle[0]), (2, oracle[1])):
+                assert ow.branch_eval(spec, h, which).c == pytest.approx(c, rel=1e-12)
+
+
+@pytest.mark.parametrize("v_max,d_s", [(100.0, 0.0), (2.841, 0.0), (1.0, 0.5)])
+def test_tangency_counts_and_labels(v_max, d_s):
+    # h = h_star (1 -+ 10^-k): below, no speed until the residual at c_star
+    # is within 1e-10; above, two branch points until they merge into one
+    spec = ow.make_vq(v_max, d_s)
+    h_star = ow.critical_pair(spec).h_star
+    cases = [(h_star, [ow.DEGENERATE]), (math.nextafter(h_star, math.inf), [ow.DEGENERATE])]
+    for k in range(2, 15):
+        cases.append((h_star * (1.0 - 10.0**-k), [] if k <= 10 else [ow.DEGENERATE]))
+        cases.append((h_star * (1.0 + 10.0**-k),
+                      [ow.BRANCH1, ow.BRANCH2] if k <= 12 else [ow.DEGENERATE]))
+    for h, labels in cases:
+        points = ow.find_constant_speeds(spec, h)
+        assert [p.branch for p in points] == labels, h / h_star - 1.0
+        for p in points:
+            assert abs(h * spec.eval(p.c) - p.c) <= 1e-10 * max(1.0, p.c)
 
 
 def test_branch_eval_domain_error_at_or_below_onset(vq100):
@@ -135,6 +157,12 @@ def test_branch_derivative_singular_at_tangency(vq100):
         ow.branch_derivative(vq100, point)
 
 
+def test_wavefront_point_rejects_unknown_branch():
+    for branch in ("bogus", 1, None):
+        with pytest.raises(ow.ParameterError, match="unknown branch"):
+            ow.WavefrontPoint(h=0.2, c=1.0, slope_product=2.0, branch=branch)
+
+
 def test_find_constant_speeds_validates_h(vq100):
     with pytest.raises(ow.ParameterError):
         ow.find_constant_speeds(vq100, 0.0)
@@ -151,9 +179,6 @@ def test_speeds_and_branches_property(v_max, d_s, h_factor):
     h_star = ow.critical_pair(spec).h_star
     h = h_factor * h_star
     points = ow.find_constant_speeds(spec, h)
-    # an OVF that takes only scalars is evaluated point by point on the grid
-    scalar_only = dataclasses.replace(spec, eval=lambda s: spec.eval(float(s)))
-    assert ow.find_constant_speeds(scalar_only, h) == points
     for p in points:
         assert abs(h * spec.eval(p.c) - p.c) <= 1e-10 * max(1.0, p.c)
         assert p.slope_product == h * spec.deriv(p.c)
@@ -169,12 +194,10 @@ def test_speeds_and_branches_property(v_max, d_s, h_factor):
     if h_factor <= 1.0 + 1e-6:
         return
     assert [p.branch for p in points] == [ow.BRANCH1, ow.BRANCH2]
-    for which, p in ((1, points[0]), (2, points[1])):
+    # both entries against the cubic oracle, to 1e-12 relative
+    oracle = quadratic_speeds(v_max, h, d_s)
+    assert [p.c for p in points] == pytest.approx(oracle, rel=1e-12)
+    for which, c in ((1, oracle[0]), (2, oracle[1])):
         q = ow.branch_eval(spec, h, which)
-        assert q.branch == p.branch
-        assert q.c == pytest.approx(p.c, rel=1e-12)
-    if d_s == 0.0:
-        # h v c^2 / (1 + c^2) = c: c^2 - h v c + 1 = 0, roots with product 1
-        big = 0.5 * (h * v_max + math.sqrt((h * v_max) ** 2 - 4.0))
-        assert points[1].c == pytest.approx(big, rel=1e-12)
-        assert points[0].c == pytest.approx(1.0 / big, rel=1e-12)
+        assert q.branch == points[which - 1].branch
+        assert q.c == pytest.approx(c, rel=1e-12)
