@@ -1,14 +1,26 @@
-"""Small scalar root-finding helpers: bracketed bisection plus Newton polish."""
+"""One scalar root finder: Newton or secant steps inside a sign-change bracket."""
 
 from __future__ import annotations
 
-from .errors import BracketError, NumericalError
+import math
 
-__all__ = ["bisect", "newton_polish"]
+from .errors import BracketError
+
+__all__ = ["solve"]
 
 
-def bisect(f, lo, hi, *, f_lo=None, f_hi=None, xtol, maxiter=300):
-    """Bisection on a sign-change bracket [lo, hi] down to width ``xtol``."""
+def solve(f, lo, hi, *, df=None, f_lo=None, f_hi=None, xtol, rtol=1e-15, maxiter=100):
+    """A root of ``f`` on the sign-change bracket ``[lo, hi]``.
+
+    Each step is Newton's when ``df`` is given, else the secant through the
+    last two iterates; a step that would leave the current bracket is
+    replaced by bisection, and every evaluation shrinks the bracket.  Stops
+    on an exact zero, on a step below ``rtol`` relative to ``max(1, |x|)``,
+    when the bracket is narrower than ``xtol``, or after ``maxiter`` steps,
+    returning the bracket end with the smaller ``|f|``.
+    ``f_lo`` and ``f_hi`` pass known end values.  Raises
+    :class:`BracketError` when ``f`` does not change sign on the bracket.
+    """
     a, b = float(lo), float(hi)
     fa = float(f(a)) if f_lo is None else float(f_lo)
     fb = float(f(b)) if f_hi is None else float(f_hi)
@@ -18,38 +30,25 @@ def bisect(f, lo, hi, *, f_lo=None, f_hi=None, xtol, maxiter=300):
         return b
     if (fa > 0) == (fb > 0):
         raise BracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
+    # the last two iterates; Newton starts from the end with the smaller |f|
+    x0, f0, x1, f1 = (a, fa, b, fb) if abs(fb) <= abs(fa) else (b, fb, a, fa)
     for _ in range(maxiter):
-        m = 0.5 * (a + b)
-        if m == a or m == b or (b - a) <= xtol:
-            return m
-        fm = float(f(m))
-        if fm == 0.0:
-            return m
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
+        if b - a <= xtol:
+            break
+        d = float(df(x1)) if df is not None else (f1 - f0) / (x1 - x0)
+        x = x1 - f1 / d if 0.0 < abs(d) < math.inf else math.nan
+        if a <= x <= b and abs(x - x1) <= rtol * max(1.0, abs(x)):
+            return x
+        if not a < x < b:  # also true for NaN
+            x = 0.5 * (a + b)
+            if not a < x < b:
+                break
+        fx = float(f(x))
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
         else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
-
-
-def newton_polish(f, df, x0, *, bracket=None, rtol=1e-15, maxiter=12):
-    """A few Newton steps from ``x0``; keeps the iterate inside ``bracket``.
-
-    Returns the last iterate that did not escape the bracket or produce a
-    vanishing derivative, which makes the polish safe after bisection.
-    """
-    x = float(x0)
-    for _ in range(maxiter):
-        d = float(df(x))
-        if d == 0.0:
-            return x
-        step = float(f(x)) / d
-        x_new = x - step
-        if bracket is not None and not (bracket[0] <= x_new <= bracket[1]):
-            return x
-        if not abs(x_new) < float("inf"):
-            raise NumericalError("Newton polish diverged")
-        if abs(step) <= rtol * max(1.0, abs(x_new)):
-            return x_new
-        x = x_new
-    return x
+            b, fb = x, fx
+        x0, f0, x1, f1 = x1, f1, x, fx
+    return a if abs(fa) <= abs(fb) else b

@@ -29,6 +29,8 @@ from .errors import ParameterError, check_finite
 
 __all__ = ["OvfSpec", "AxiomViolation", "make_vq", "ovf_axiom_check"]
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class OvfSpec:
@@ -155,8 +157,9 @@ def ovf_axiom_check(spec: OvfSpec, grid) -> list[AxiomViolation]:
 
     The smoothness part of assumption 4 is verified by comparing ``deriv``
     against centered finite differences of ``eval`` (step
-    ``max(1e-6, 1e-6*|s|)``) to relative tolerance 1e-6, skipping a small
-    neighborhood of ``d_s`` where the second derivative jumps.
+    ``max(1e-6, 1e-6*|s|)``) to relative tolerance 1e-6, or to the
+    difference's rounding error ``eps * |V| / step`` where that is larger,
+    skipping a small neighborhood of ``d_s`` where the second derivative jumps.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -232,12 +235,12 @@ def ovf_axiom_check(spec: OvfSpec, grid) -> list[AxiomViolation]:
     probes = ds + np.geomspace(lo, hi, 25)
     for s in probes:
         step = max(1e-6, 1e-6 * abs(s))
-        fd = (float(spec.eval(s + step)) - float(spec.eval(s - step))) / (2.0 * step)
+        v_hi, v_lo = float(spec.eval(s + step)), float(spec.eval(s - step))
+        fd = (v_hi - v_lo) / (2.0 * step)
         d = float(spec.deriv(s))
-        denom = max(abs(d), abs(fd))
-        if denom == 0.0:
-            continue
-        if abs(fd - d) > 1e-6 * denom:
+        # the difference cannot resolve less than its rounding error
+        floor = _EPS * max(abs(v_hi), abs(v_lo)) / step
+        if abs(fd - d) > max(1e-6 * max(abs(d), abs(fd)), floor):
             out.append(
                 AxiomViolation(
                     "OVF4",

@@ -40,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
-from ._scalar import bisect
+from ._scalar import solve
 from .errors import (
-    BracketError,
     ConsistencyError,
     DomainError,
     NumericalError,
@@ -154,6 +153,8 @@ def c1_curve(nu: float) -> tuple[float, float]:
     """The boundary-curve point (alpha, beta) at parameter ``nu`` in (0, pi)."""
     if not 0.0 < nu < math.pi:
         raise ParameterError(f"nu must lie in (0, pi), got {nu}")
+    if nu < 1e-150:  # nu^2 underflows below ~1e-154; the curve is at its limit there
+        return -2.0, 2.0
     return _c1_alpha(nu), _c1_beta(nu)
 
 
@@ -182,15 +183,15 @@ def c1_boundary_beta(alpha: float):
         return None
     # the curve parameter degenerates at both ends.  Left of -2 + 1e-13 the
     # limit 2 is exact within the slope 2 times the snap; right of the
-    # bisection bracket (nu = pi - d, alpha ~ -pi d / 2 for d <= 1e-9) the
+    # solver's bracket on nu (nu = pi - d, alpha ~ -pi d / 2 for d <= 1e-9) the
     # curve is beta = pi^2/2 + 2 alpha + O(d^2), exact in double precision
     if alpha > _C1_ALPHA_TOP:
         return _BETA_AXIS_TOP + 2.0 * alpha
     if alpha < -2.0 + 1e-13:
         return 2.0
     # alpha increases with nu from -2 to 0
-    return _c1_beta(bisect(lambda nu: _c1_alpha(nu) - alpha, 1e-9, math.pi - 1e-9,
-                           xtol=1e-15 * math.pi))
+    return _c1_beta(solve(lambda nu: _c1_alpha(nu) - alpha, 1e-9, math.pi - 1e-9,
+                          xtol=1e-15 * math.pi))
 
 
 def region_classify(params: StabilityParams) -> str:
@@ -467,10 +468,11 @@ def classify_wavefront(spec: OvfSpec, point: WavefrontPoint) -> StabilityVerdict
 def hopf_crossing(spec: OvfSpec, h_lo: float, h_hi: float) -> tuple[float, float]:
     """Locate the oscillatory-boundary crossing of branch 1 on [h_lo, h_hi].
 
-    Bisects ``h + _c1_side(-h, beta(h))``, which has the sign of ``beta(h)``'s
-    offset from the boundary curve; the endpoints must straddle it, otherwise
-    :class:`BracketError` is raised.  Returns ``(h_H, omega)``, ``omega^2 = 2
-    beta - h_H^2``, with ``|chi(i omega)| <= 1e-8`` at the crossing parameters.
+    Solves ``h + _c1_side(-h, beta(h)) = 0`` by secant steps inside the bracket;
+    it has the sign of ``beta(h)``'s offset from the boundary curve, and the
+    endpoints must straddle it, otherwise :class:`BracketError` is raised.
+    Returns ``(h_H, omega)``, ``omega^2 = 2 beta - h_H^2``, with
+    ``|chi(i omega)| <= 1e-8`` at the crossing parameters.
     """
     if not check_finite("h_lo", h_lo, positive=True) < check_finite("h_hi", h_hi):
         raise ParameterError(f"need 0 < h_lo < h_hi, got ({h_lo}, {h_hi})")
@@ -483,17 +485,7 @@ def hopf_crossing(spec: OvfSpec, h_lo: float, h_hi: float) -> tuple[float, float
             return math.inf  # alpha below -2: everything there is outside
         return h + _c1_side(-h, stability_params(spec, pt).beta)
 
-    s_lo = signed_offset(h_lo)
-    s_hi = signed_offset(h_hi)
-    if s_lo == 0.0 or s_hi == 0.0:
-        h_H = h_lo if s_lo == 0.0 else h_hi
-    elif (s_lo > 0) == (s_hi > 0):
-        raise BracketError(
-            f"no boundary crossing in [{h_lo}, {h_hi}]: offsets {s_lo}, {s_hi}"
-        )
-    else:
-        h_H = bisect(signed_offset, h_lo, h_hi, f_lo=s_lo, f_hi=s_hi,
-                     xtol=1e-13 * max(1.0, h_hi))
+    h_H = solve(signed_offset, h_lo, h_hi, xtol=1e-13 * max(1.0, h_hi))
 
     params = stability_params(spec, branch_eval(spec, h_H, BRANCH1))
     omega = math.sqrt(max(0.0, 2.0 * params.beta - h_H * h_H))

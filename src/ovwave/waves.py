@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._scalar import bisect, newton_polish
+from ._scalar import solve
 from .errors import DomainError, NumericalError, ParameterError, SingularityError, check_finite
 from .ovf import OvfSpec
 
@@ -143,13 +143,7 @@ def critical_pair(spec: OvfSpec) -> CriticalPair:
         hi *= 2.0
     else:
         raise NumericalError("could not bracket the tangency speed")
-    c_star = bisect(lambda c: ratio(c) - 1.0, b, hi, xtol=1e-15 * max(1.0, hi))
-    c_star = newton_polish(
-        lambda c: c * float(spec.deriv(c)) - float(spec.eval(c)),
-        lambda c: c * float(spec.deriv2(c)),
-        c_star,
-        bracket=(spec.d_s, hi),
-    )
+    c_star = solve(lambda c: ratio(c) - 1.0, b, hi, xtol=1e-15 * max(1.0, hi))
     v_star = float(spec.eval(c_star))
     h_star = c_star / v_star
     if abs(h_star * float(spec.deriv(c_star)) - 1.0) > _DEGENERACY_TOL:
@@ -179,7 +173,7 @@ def branch_eval(spec: OvfSpec, h: float, which) -> WavefrontPoint | None:
     """The branch speed at parameter ``h``, or None above branch 1's domain.
 
     ``c/V(c)`` is strictly monotone on each branch's speed interval, so the
-    inverse is computed by bisection there and polished on the residual.
+    inverse is its root there, found by Newton steps inside that bracket.
     Raises :class:`DomainError` for ``h <= h_star``, where neither branch is
     defined, and :class:`ParameterError` for a non-finite ``h``.
     """
@@ -191,44 +185,36 @@ def branch_eval(spec: OvfSpec, h: float, which) -> WavefrontPoint | None:
             f"h={h} is at or below the branch onset h_star={cp.h_star}"
         )
 
-    def inv_speed(c):
-        return c / float(spec.eval(c))
+    def offset(c):  # c/V(c) - h
+        return c / float(spec.eval(c)) - h
 
-    def residual(c):
-        return h * float(spec.eval(c)) - c
-
-    def residual_slope(c):
-        return h * float(spec.deriv(c)) - 1.0
+    def offset_slope(c):
+        v = float(spec.eval(c))
+        return (v - c * float(spec.deriv(c))) / (v * v)
 
     if which == BRANCH1:
         if h >= cp.h_hat:
             return None
-        # inv_speed decreases from h_hat to h_star on (d_s, c_star)
-        lo = None
-        step = cp.c_star - spec.d_s
+        # c/V(c) decreases from h_hat to h_star on (d_s, c_star)
+        step, hi, f_hi = cp.c_star - spec.d_s, cp.c_star, cp.h_star - h
         for k in range(1, 400):
-            cand = spec.d_s + step * 0.5**k
-            if inv_speed(cand) > h:
-                lo = cand
+            lo = spec.d_s + step * 0.5**k
+            if (f_lo := offset(lo)) > 0.0:
                 break
-        if lo is None:
+        else:
             raise NumericalError("could not bracket the branch-1 speed")
-        c = bisect(lambda c: inv_speed(c) - h, lo, cp.c_star,
-                   xtol=1e-15 * max(1.0, cp.c_star))
-        bracket = (spec.d_s, cp.c_star)
     else:
-        hi = cp.c_star + max(1.0, cp.c_star)
+        lo, f_lo, hi = cp.c_star, cp.h_star - h, cp.c_star + max(1.0, cp.c_star)
         for _ in range(200):
-            if inv_speed(hi) > h:
+            if (f_hi := offset(hi)) > 0.0:
                 break
             hi *= 2.0
         else:
             raise NumericalError("could not bracket the branch-2 speed")
-        c = bisect(lambda c: inv_speed(c) - h, cp.c_star, hi,
-                   xtol=1e-15 * max(1.0, hi))
-        bracket = (cp.c_star, hi)
 
-    return _point(spec, h, newton_polish(residual, residual_slope, c, bracket=bracket))
+    c = solve(offset, lo, hi, df=offset_slope, f_lo=f_lo, f_hi=f_hi,
+              xtol=1e-15 * max(1.0, hi))
+    return _point(spec, h, c)
 
 
 def branch_derivative(spec: OvfSpec, point: WavefrontPoint) -> float:

@@ -95,11 +95,20 @@ def test_boundary_curve_endpoints():
     assert ow.c1_boundary_beta(math.inf) is None
     with pytest.raises(ow.ParameterError, match="alpha") as err:
         ow.c1_boundary_beta(math.nan)
-    assert err.type is ow.ParameterError  # not the bisection's BracketError
+    assert err.type is ow.ParameterError  # not the root finder's BracketError
+
+
+def test_boundary_curve_at_the_ends_of_its_parameter():
+    # nu^2 underflows for nu below about 1e-154, where the curve is at (-2, 2)
+    for nu in (1e-200, 1e-310, 5e-324):
+        assert c1_curve(nu) == pytest.approx((-2.0, 2.0), abs=1e-12)
+    alpha, beta = c1_curve(math.nextafter(math.pi, 0.0))
+    assert alpha == pytest.approx(0.0, abs=1e-12)
+    assert beta == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
 
 
 def test_boundary_curve_just_left_of_the_beta_axis():
-    # alpha in (-1.6e-9, -1e-11) lies beyond the bisection bracket's end at
+    # alpha in (-1.6e-9, -1e-11) lies beyond the root finder's bracket end at
     # nu = pi - 1e-9; there beta = pi^2/2 + 2 alpha to double precision
     for alpha in (-1.5e-9, -1e-9, -1e-10, -1e-11):
         beta = ow.c1_boundary_beta(alpha)
@@ -454,6 +463,8 @@ def test_hopf_crossing_location(vq2841):
     hi = ow.classify_wavefront(vq2841, ow.branch_eval(vq2841, h_H + 1e-3, 1))
     assert lo.classification == ow.STABLE
     assert hi.classification == ow.UNSTABLE
+    # past h = 2 the offset is +inf, which the secant cannot step through
+    assert ow.hopf_crossing(vq2841, 1.3, 2.5)[0] == pytest.approx(h_H, rel=1e-13)
 
 
 def test_hopf_crossing_requires_sign_flip(vq2841):
