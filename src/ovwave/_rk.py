@@ -150,14 +150,6 @@ class RkDriver:
         sc = atol + rel * np.maximum(np.abs(y), np.abs(y_new))
         return math.sqrt(float(np.mean((err / sc) ** 2)))
 
-    def eval_array(self, t):
-        """Vectorized dense output on ``[t0, t_end]``; shape ``t.shape + (dim,)``."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.t0):
-            raise DomainError("no history available before t0")
-        out = dense_output(self.ts, self.ys, self.qs, t.ravel())
-        return out.reshape(t.shape + (-1,))
-
     def run(self, f):
         """Integrate ``y' = f(t, y)`` from ``t0`` to ``t_end``.
 

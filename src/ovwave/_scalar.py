@@ -1,4 +1,4 @@
-"""One scalar root finder: Newton or secant steps inside a sign-change bracket."""
+"""One scalar root finder: secant steps inside a sign-change bracket."""
 
 from __future__ import annotations
 
@@ -9,35 +9,33 @@ from .errors import BracketError
 __all__ = ["solve"]
 
 
-def solve(f, lo, hi, *, df=None, f_lo=None, f_hi=None, xtol, rtol=1e-15, maxiter=100):
+def solve(f, lo, hi, *, xtol):
     """A root of ``f`` on the sign-change bracket ``[lo, hi]``.
 
-    Each step is Newton's when ``df`` is given, else the secant through the
-    last two iterates; a step that would leave the current bracket is
-    replaced by bisection, and every evaluation shrinks the bracket.  Stops
-    on an exact zero, on a step below ``rtol`` relative to ``max(1, |x|)``,
-    when the bracket is narrower than ``xtol``, or after ``maxiter`` steps,
-    returning the bracket end with the smaller ``|f|``.
-    ``f_lo`` and ``f_hi`` pass known end values.  Raises
-    :class:`BracketError` when ``f`` does not change sign on the bracket.
+    Each step is the secant through the last two iterates; a step that would
+    leave the current bracket is replaced by bisection, and every evaluation
+    shrinks the bracket.  Stops on an exact zero, on a secant step below
+    1e-15 relative to ``max(1, |x|)``, when the bracket is narrower than
+    ``xtol``, or after 100 steps, returning the bracket end with the smaller
+    ``|f|``.  Raises :class:`BracketError` when ``f`` does not change sign
+    on the bracket.
     """
     a, b = float(lo), float(hi)
-    fa = float(f(a)) if f_lo is None else float(f_lo)
-    fb = float(f(b)) if f_hi is None else float(f_hi)
+    fa, fb = float(f(a)), float(f(b))
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if (fa > 0) == (fb > 0):
         raise BracketError(f"no sign change on [{a}, {b}]: f={fa}, {fb}")
-    # the last two iterates; Newton starts from the end with the smaller |f|
+    # the last two iterates, the end with the smaller |f| last
     x0, f0, x1, f1 = (a, fa, b, fb) if abs(fb) <= abs(fa) else (b, fb, a, fa)
-    for _ in range(maxiter):
+    for _ in range(100):
         if b - a <= xtol:
             break
-        d = float(df(x1)) if df is not None else (f1 - f0) / (x1 - x0)
+        d = (f1 - f0) / (x1 - x0)
         x = x1 - f1 / d if 0.0 < abs(d) < math.inf else math.nan
-        if a <= x <= b and abs(x - x1) <= rtol * max(1.0, abs(x)):
+        if a <= x <= b and abs(x - x1) <= 1e-15 * max(1.0, abs(x)):
             return x
         if not a < x < b:  # also true for NaN
             x = 0.5 * (a + b)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rk import RkDriver
+from ._rk import RkDriver, dense_output
 from .errors import DomainError, ParameterError, check_finite
 from .ovf import OvfSpec
 from .solver import _check_tolerances, _column, _write_csv
@@ -164,7 +164,7 @@ def simulate_followers(spec: OvfSpec, leader, init, n_cars: int, t_end: float,
         t = np.asarray(t, dtype=float)
         w = np.full((t.size, n + 1, 2), np.nan)
         inside = (t >= 0.0) & (t <= t_hi)
-        states = driver.eval_array(t[inside])
+        states = dense_output(driver.ts, driver.ys, driver.qs, t[inside])
         w[inside, :n] = states.reshape(-1, 2, n).transpose(0, 2, 1)
         w[inside, n] = [leader(s) for s in t[inside]]
         return w

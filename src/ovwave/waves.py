@@ -123,7 +123,11 @@ def critical_pair(spec: OvfSpec) -> CriticalPair:
     """The unique (c_star, h_star) with ``hV(c)=c`` and ``hV'(c)=1``.
 
     Solves ``c V'(c) / V(c) = 1`` beyond the inflection headway, where the
-    ratio falls through 1 exactly once, then sets ``h_star = c/V(c)``.
+    ratio falls through 1 exactly once, then sets ``h_star = c/V(c)``.  As
+    ``V <= v_max``, ``c_star = h_star V(c_star) <= v_max b/V(b)``, so the
+    secant steps run inside the bracket ``[b, 2 v_max b/V(b)]``; a spec whose
+    ``v_max`` understates ``V`` can leave the tangency outside it and raises
+    :class:`BracketError` (exit 2).
     ``h_hat`` (the upper end of branch 1) is probed as the limit of
     ``c/V(c)`` for c just above the safety distance and reported as infinity
     when the probes keep growing past any plateau.
@@ -136,13 +140,7 @@ def critical_pair(spec: OvfSpec) -> CriticalPair:
     if ratio(b) < 1.0 - 1e-12:
         raise NumericalError("slope ratio below 1 at the inflection point; "
                              "the velocity function violates the assumptions")
-    hi = b + max(1.0, b)
-    for _ in range(200):
-        if ratio(hi) < 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("could not bracket the tangency speed")
+    hi = 2.0 * spec.v_max * b / float(spec.eval(b))
     c_star = solve(lambda c: ratio(c) - 1.0, b, hi, xtol=1e-15 * max(1.0, hi))
     v_star = float(spec.eval(c_star))
     h_star = c_star / v_star
@@ -173,9 +171,13 @@ def branch_eval(spec: OvfSpec, h: float, which) -> WavefrontPoint | None:
     """The branch speed at parameter ``h``, or None above branch 1's domain.
 
     ``c/V(c)`` is strictly monotone on each branch's speed interval, so the
-    inverse is its root there, found by Newton steps inside that bracket.
-    Raises :class:`DomainError` for ``h <= h_star``, where neither branch is
-    defined, and :class:`ParameterError` for a non-finite ``h``.
+    inverse is its root there, found by secant steps inside a bracket:
+    ``(d_s, c_star)`` closed by halving toward ``d_s`` on branch 1, and
+    ``[c_star, 2 h v_max]`` on branch 2, as ``c = h V(c) <= h v_max``.  A
+    spec whose ``v_max`` understates ``V`` can raise :class:`BracketError`
+    (exit 2).  Raises :class:`DomainError` for ``h <= h_star``, where
+    neither branch is defined, and :class:`ParameterError` for a non-finite
+    ``h``.
     """
     h = check_finite("h", h)
     which = _normalize_branch(which)
@@ -188,32 +190,22 @@ def branch_eval(spec: OvfSpec, h: float, which) -> WavefrontPoint | None:
     def offset(c):  # c/V(c) - h
         return c / float(spec.eval(c)) - h
 
-    def offset_slope(c):
-        v = float(spec.eval(c))
-        return (v - c * float(spec.deriv(c))) / (v * v)
-
     if which == BRANCH1:
         if h >= cp.h_hat:
             return None
         # c/V(c) decreases from h_hat to h_star on (d_s, c_star)
-        step, hi, f_hi = cp.c_star - spec.d_s, cp.c_star, cp.h_star - h
+        step, hi = cp.c_star - spec.d_s, cp.c_star
         for k in range(1, 400):
             lo = spec.d_s + step * 0.5**k
-            if (f_lo := offset(lo)) > 0.0:
+            if offset(lo) > 0.0:
                 break
         else:
             raise NumericalError("could not bracket the branch-1 speed")
     else:
-        lo, f_lo, hi = cp.c_star, cp.h_star - h, cp.c_star + max(1.0, cp.c_star)
-        for _ in range(200):
-            if (f_hi := offset(hi)) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise NumericalError("could not bracket the branch-2 speed")
+        # the factor 2 keeps c/V(c) - h >= h at the end, beyond any rounding
+        lo, hi = cp.c_star, 2.0 * h * spec.v_max
 
-    c = solve(offset, lo, hi, df=offset_slope, f_lo=f_lo, f_hi=f_hi,
-              xtol=1e-15 * max(1.0, hi))
+    c = solve(offset, lo, hi, xtol=1e-15 * max(1.0, hi))
     return _point(spec, h, c)
 
 

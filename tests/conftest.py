@@ -22,6 +22,21 @@ def vq_half():
     return ow.make_vq(1.0, 0.5)
 
 
+def gaussian_ovf(v_max, d_s, slope_scale=1.0):
+    """``V = v (1 - exp(-u^2))`` with ``u = s - d_s``, inflection at ``d_s + 1/sqrt(2)``."""
+
+    def gap(s):
+        return np.maximum(np.asarray(s, dtype=float) - d_s, 0.0)
+
+    return ow.OvfSpec(
+        v_max=v_max, d_s=d_s, b=d_s + 1.0 / math.sqrt(2.0),
+        eval=lambda s: v_max * (1.0 - np.exp(-gap(s) ** 2)),
+        deriv=lambda s: slope_scale * 2.0 * v_max * gap(s) * np.exp(-gap(s) ** 2),
+        deriv2=lambda s: np.where(np.asarray(s) < d_s, 0.0, 2.0 * v_max
+                                  * (1.0 - 2.0 * gap(s) ** 2) * np.exp(-gap(s) ** 2)),
+    )
+
+
 def quadratic_speeds(v_max: float, h: float, d_s: float = 0.0) -> list[float]:
     """Speeds of the rational family from its polynomial form, ascending.
 

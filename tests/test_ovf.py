@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ovwave as ow
+from conftest import gaussian_ovf
 from ovwave.ovf import AxiomViolation
 
 
@@ -138,28 +139,13 @@ def test_axiom_check_flags_wrong_derivative(vq100):
     assert any(v.axiom == "OVF4" and "finite difference" in v.detail for v in report)
 
 
-def _gaussian_ovf(v_max, d_s, slope_scale=1.0):
-    """``V = v (1 - exp(-u^2))`` with ``u = s - d_s``, inflection at ``d_s + 1/sqrt(2)``."""
-
-    def gap(s):
-        return np.maximum(np.asarray(s, dtype=float) - d_s, 0.0)
-
-    return ow.OvfSpec(
-        v_max=v_max, d_s=d_s, b=d_s + 1.0 / math.sqrt(2.0),
-        eval=lambda s: v_max * (1.0 - np.exp(-gap(s) ** 2)),
-        deriv=lambda s: slope_scale * 2.0 * v_max * gap(s) * np.exp(-gap(s) ** 2),
-        deriv2=lambda s: np.where(np.asarray(s) < d_s, 0.0, 2.0 * v_max
-                                  * (1.0 - 2.0 * gap(s) ** 2) * np.exp(-gap(s) ** 2)),
-    )
-
-
 @pytest.mark.parametrize("v_max,d_s", [(1.0, 0.0), (2.841, 0.5), (100.0, 2.0)])
 def test_axiom_check_smoothness_probe_has_a_rounding_floor(v_max, d_s):
     # where the slope falls below the rounding error of the difference of
     # eval (u above about 4), a correct derivative must not be flagged
     grid = np.linspace(0.0, 20.0, 400)
-    assert ow.ovf_axiom_check(_gaussian_ovf(v_max, d_s), grid) == []
-    report = ow.ovf_axiom_check(_gaussian_ovf(v_max, d_s, slope_scale=1.02), grid)
+    assert ow.ovf_axiom_check(gaussian_ovf(v_max, d_s), grid) == []
+    report = ow.ovf_axiom_check(gaussian_ovf(v_max, d_s, slope_scale=1.02), grid)
     assert any(v.axiom == "OVF4" and "finite difference" in v.detail for v in report)
 
 

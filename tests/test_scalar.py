@@ -24,17 +24,6 @@ def test_no_sign_change_raises():
 def test_exact_zero_at_either_end_is_returned_as_is():
     assert _scalar.solve(lambda x: x - 2.0, 2.0, 5.0, xtol=1e-15) == 2.0
     assert _scalar.solve(lambda x: x - 5.0, 2.0, 5.0, xtol=1e-15) == 5.0
-    # known end values are trusted and not recomputed
-    f, calls = _counted(lambda x: x - 3.0)
-    assert _scalar.solve(f, 2.0, 5.0, f_lo=0.0, f_hi=2.0, xtol=1e-15) == 2.0
-    assert calls == []
-
-
-def test_newton_falls_back_to_bisection_where_it_diverges():
-    # plain Newton from either end of [-10, 30] overshoots ever farther
-    root = _scalar.solve(lambda x: math.atan(x - 1.0), -10.0, 30.0,
-                         df=lambda x: 1.0 / (1.0 + (x - 1.0) ** 2), xtol=1e-15)
-    assert root == pytest.approx(1.0, abs=1e-15)
 
 
 def test_secant_converges_without_a_derivative():
@@ -50,15 +39,9 @@ def test_secant_bisects_next_to_an_infinite_end_value():
     assert root == pytest.approx(1.0, abs=1e-15)
 
 
-def test_newton_needs_far_fewer_evaluations_than_bisection():
-    # bisection from width 10 down to 1e-15 relative takes about 50 steps
-    f, calls = _counted(lambda x: x**3 - 2.0)
-    root = _scalar.solve(f, 0.0, 10.0, df=lambda x: 3.0 * x * x, xtol=1e-15)
-    assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
-    assert len(calls) <= 15
-
-
 def test_every_path_is_bounded_by_maxiter():
-    f, calls = _counted(lambda x: x - math.pi)
-    _scalar.solve(f, 0.0, 10.0, df=lambda x: 0.0, xtol=0.0, maxiter=7)
-    assert len(calls) == 2 + 7
+    # a step at pi: each secant step bisects, and 100 of them leave the
+    # bracket far wider than xtol = 0
+    f, calls = _counted(lambda x: -1.0 if x < math.pi else 1.0)
+    _scalar.solve(f, 0.0, 1e300, xtol=0.0)
+    assert len(calls) == 2 + 100

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ovwave as ow
-from conftest import quadratic_speeds
+from conftest import gaussian_ovf, quadratic_speeds
 
 
 def test_two_speeds_match_quadratic_oracle(vq100):
@@ -125,6 +126,46 @@ def test_branch_eval_domain_error_at_or_below_onset(vq100):
         for which in (1, 2):
             with pytest.raises(ow.ParameterError, match="h must be finite"):
                 ow.branch_eval(vq100, h, which)
+
+
+def test_branch_eval_makes_one_deriv_call(vq2841):
+    # the only slope evaluated is the slope product of the returned point
+    calls = []
+
+    def deriv(s):
+        calls.append(s)
+        return vq2841.deriv(s)
+
+    spec = dataclasses.replace(vq2841, deriv=deriv)
+    ow.critical_pair(spec)  # cached per spec, so not counted below
+    for h in (0.8, 1.0, 1.4, 3.0):
+        for which in (1, 2):
+            calls.clear()
+            ow.branch_eval(spec, h, which)
+            assert len(calls) == 1, (h, which)
+
+
+@pytest.mark.parametrize("v_max,d_s", [(1.0, 0.0), (2.841, 0.5), (100.0, 2.0)])
+def test_gaussian_family_up_to_thirty_times_onset(v_max, d_s):
+    # 1 - exp(-u^2) rounds to exactly 1 for u above about 6, so c/V(c) - h
+    # at the end h v_max of the branch-2 bracket can round below zero
+    spec = gaussian_ovf(v_max, d_s)
+    cp = ow.critical_pair(spec)
+    assert abs(cp.h_star * float(spec.deriv(cp.c_star)) - 1.0) <= 1e-8
+    for h in np.geomspace(cp.h_star * (1.0 + 1e-6), 30.0 * cp.h_star, 30):
+        for which in (1, 2):
+            p = ow.branch_eval(spec, float(h), which)
+            assert abs(h * float(spec.eval(p.c)) - p.c) <= 1e-10 * max(1.0, p.c)
+
+
+def test_understated_v_max_raises_bracket_error():
+    # the rational family with v_max = 1 reaches 0.99 at c = 10; told its
+    # supremum is 0.25, branch 2's closed-form bracket misses the speed
+    spec = dataclasses.replace(ow.make_vq(1.0, 0.0), v_max=0.25)
+    assert ow.critical_pair(spec).c_star == 1.0
+    for h in (2.5, 4.0, 20.0):
+        with pytest.raises(ow.BracketError):
+            ow.branch_eval(spec, h, 2)
 
 
 def test_branch_ordering_and_monotonicity(vq100):
