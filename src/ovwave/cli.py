@@ -1,7 +1,7 @@
 """Experiment harness: reference examples, sweeps, and data export.
 
-Everything emits plain CSV/JSON with fixed 17-significant-digit formatting,
-so identical configurations produce byte-identical artifacts.  Plotting is
+CSV cells carry 17 significant digits and JSON numbers the shortest exact
+repr, so identical configurations produce byte-identical artifacts.  Plotting is
 left to external tools; series files use a two-column time/value convention
 per quantity (t, z, dz).
 
@@ -271,13 +271,19 @@ def run_sweep(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
 
 # -- subcommand handlers -----------------------------------------------------
 
-_RUN_FLAGS = ("t_end", "tol_rel", "tol_abs", "dt")
-_CONFIG_FLAGS = ("v_max", "d_s", "h", "branch", "c") + _RUN_FLAGS
+# the config fields a subcommand may take as flags, with their types
+_CONFIG_FLAGS = {"v_max": float, "d_s": float, "h": float, "branch": int, "c": float,
+                 "t_end": float, "tol_rel": float, "tol_abs": float, "dt": float}
+
+
+def _overrides(args) -> dict:
+    """The config fields among the parsed flags; None where a flag was not given."""
+    return {name: value for name, value in vars(args).items() if name in _CONFIG_FLAGS}
 
 
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    return cfg.with_overrides(**{name: getattr(args, name) for name in _CONFIG_FLAGS})
+    return cfg.with_overrides(**_overrides(args))
 
 
 def _cmd_branches(args) -> None:
@@ -308,7 +314,7 @@ def _cmd_stability_region(args) -> None:
 def _cmd_classify(args) -> None:
     cfg = _load_config(args)
     spec = cfg.build_ovf()
-    point = branch_eval(spec, cfg.h, cfg.branch if cfg.branch else 1)
+    point = branch_eval(spec, cfg.h, cfg.branch)
     if point is None:
         raise DomainError(f"branch {cfg.branch} undefined at h={cfg.h}")
     verdict = classify_wavefront(spec, point)
@@ -345,32 +351,29 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_example(args) -> None:
-    run_example(f"example{args.number}", args.out,
-                **{name: getattr(args, name) for name in _RUN_FLAGS})
+    run_example(f"example{args.number}", args.out, **_overrides(args))
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``ovwave`` parser, built once per process; shared, so never add to it."""
+    """The ``ovwave`` parser, built once per process; shared, so never add to it.
+
+    Each subcommand takes only the flags its handler reads, unabbreviated.
+    """
     parser = argparse.ArgumentParser(
-        prog="ovwave",
+        prog="ovwave", allow_abbrev=False,
         description="Constant-speed wavefronts of a delayed car-following model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def run_flags(p):
-        for name in _RUN_FLAGS:
-            p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
-
-    def common(p, out="."):
-        p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--out", default=out, help="output directory")
-        p.add_argument("--v-max", type=float, default=None)
-        p.add_argument("--d-s", type=float, default=None)
-        p.add_argument("--h", type=float, default=None)
-        p.add_argument("--branch", type=int, default=None)
-        p.add_argument("--c", type=float, default=None)
-        run_flags(p)
+    def flags(*names, config=True, out="."):
+        def add(p):
+            if config:
+                p.add_argument("--config", help="INI config file")
+            p.add_argument("--out", default=out, help="output directory")
+            for name in names:
+                p.add_argument("--" + name.replace("_", "-"), type=_CONFIG_FLAGS[name])
+        return add
 
     def h_range(p):
         p.add_argument("--h-min", type=float, required=True)
@@ -378,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=100)
 
     def region(p):
-        p.add_argument("--out", default=".")
         p.add_argument("--boundary-n", type=int, default=200)
         p.add_argument("--grid-n", type=int, default=61)
 
@@ -389,26 +391,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-times", type=int, default=200)
         p.add_argument("--headways", action="store_true")
 
-    def example(p):
-        p.add_argument("number", choices=["1", "2", "3"])
-        p.add_argument("--out", default=".")
-        run_flags(p)
-
     for name, help_text, func, *groups in (
-        ("branches", "tabulate both branch speeds over h", _cmd_branches, common, h_range),
+        ("branches", "tabulate both branch speeds over h", _cmd_branches,
+         flags("v_max", "d_s"), h_range),
         ("stability-region", "sample the region boundary and a grid",
-         _cmd_stability_region, region),
+         _cmd_stability_region, flags(config=False), region),
         # classify prints its verdict and writes a file only with --out
         ("classify", "stability verdict for one branch point", _cmd_classify,
-         lambda p: common(p, out=None)),
-        ("simulate", "integrate a configured run and export series", _cmd_simulate, common),
+         flags("v_max", "d_s", "h", "branch", out=None)),
+        ("simulate", "integrate a configured run and export series", _cmd_simulate,
+         flags(*_CONFIG_FLAGS)),
         ("perturb", "integrate a perturbed history, report deviations", _cmd_perturb,
-         common),
-        ("lattice", "car trajectories from a wavefront profile", _cmd_lattice, common, cars),
-        ("sweep", "branch classification across an h-range", _cmd_sweep, common, h_range),
-        ("example", "reproduce a reference experiment", _cmd_example, example),
+         flags(*_CONFIG_FLAGS)),
+        ("lattice", "car trajectories from a wavefront profile", _cmd_lattice,
+         flags(*[name for name in _CONFIG_FLAGS if name != "dt"]), cars),  # no series
+        ("sweep", "branch classification across an h-range", _cmd_sweep,
+         flags("v_max", "d_s"), h_range),
+        ("example", "reproduce a reference experiment", _cmd_example,
+         lambda p: p.add_argument("number", choices=["1", "2", "3"]),
+         flags("t_end", "tol_rel", "tol_abs", "dt", config=False)),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for group in groups:
             group(p)
         p.set_defaults(func=func)

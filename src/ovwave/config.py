@@ -3,7 +3,7 @@
 Sections and keys (all optional; defaults reproduce the reference setup of
 tolerances 1e-9 / 1e-12):
 
-    [ovf]           kind = vq | v_max | d_s
+    [ovf]           v_max | d_s
     [run]           h | branch (1 or 2) | c (explicit speed) | segment
                     (auto | constant | affine | sampled) | slope | offset |
                     samples (CSV path for segment = sampled) | t_end
@@ -11,8 +11,10 @@ tolerances 1e-9 / 1e-12):
     [output]        dt
     [perturbation]  speed_offset | amplitude
 
-``segment = auto`` integrates from the quasi-stationary history of the
-selected branch speed (plus any perturbation).
+``segment = auto`` integrates from the quasi-stationary history of ``c`` or
+of the selected branch speed.  A history key the segment does not read (see
+``_READS``) must keep its default, and ``dt`` may give at most ``MAX_SAMPLES``
+samples; anything else is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, check_finite
+from .errors import MAX_SAMPLES, ConfigError, check_finite
 from .ovf import OvfSpec, make_vq
 from .solver import Segment, _check_tolerances
 from .waves import branch_eval
@@ -31,17 +33,21 @@ from .waves import branch_eval
 __all__ = ["ExperimentConfig"]
 
 _SCHEMA = {
-    "ovf": {"kind", "v_max", "d_s"},
+    "ovf": {"v_max", "d_s"},
     "run": {"h", "branch", "c", "segment", "slope", "offset", "samples", "t_end"},
     "tolerances": {"rel", "abs"},
     "output": {"dt"},
     "perturbation": {"speed_offset", "amplitude"},
 }
 
+# the history keys each segment reads, and the values that leave a key unset
+_READS = {"auto": {"speed_offset", "offset", "amplitude"}, "constant": {"offset"},
+          "affine": {"slope", "offset", "amplitude"}, "sampled": {"samples"}}
+_UNSET = {"slope": None, "speed_offset": 0.0, "offset": 0.0, "amplitude": 0.0, "samples": None}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    ovf_kind: str = "vq"
     v_max: float = 100.0
     d_s: float = 0.0
     h: float = 0.2
@@ -85,8 +91,6 @@ class ExperimentConfig:
         for f in fields(self):
             if isinstance(getattr(self, f.name), float):
                 check_finite(f.name, getattr(self, f.name), error=ConfigError)
-        if self.ovf_kind != "vq":
-            raise ConfigError(f"unsupported ovf kind {self.ovf_kind!r}")
         for name in ("v_max", "h", "t_end", "dt"):
             check_finite(name, getattr(self, name), positive=True, error=ConfigError)
         if self.d_s < 0:
@@ -95,12 +99,17 @@ class ExperimentConfig:
             raise ConfigError(f"branch must be 1 or 2, got {self.branch}")
         if self.branch is None and self.c is None and self.segment == "auto":
             raise ConfigError("need a branch, an explicit c, or a segment")
-        if self.segment not in ("auto", "constant", "affine", "sampled"):
+        if self.segment not in _READS:
             raise ConfigError(f"unknown segment kind {self.segment!r}")
         if self.segment == "affine" and self.slope is None:
             raise ConfigError("segment = affine requires a slope")
         if self.segment == "sampled" and self.samples is None:
             raise ConfigError("segment = sampled requires a samples path")
+        for name, unset in _UNSET.items():
+            if getattr(self, name) != unset and name not in _READS[self.segment]:
+                raise ConfigError(f"segment = {self.segment} does not read {name}")
+        if (self.t_end + 1.0) / self.dt > MAX_SAMPLES:
+            raise ConfigError(f"dt={self.dt} gives over {MAX_SAMPLES:.0e} samples on [-1, t_end]")
         _check_tolerances(self.tol_rel, self.tol_abs, ConfigError)
 
     def build_ovf(self) -> OvfSpec:
@@ -130,20 +139,15 @@ class ExperimentConfig:
                 data = np.loadtxt(self.samples, delimiter=",", ndmin=2)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"could not read samples file {self.samples}: {exc}") from exc
-            if data.shape[1] == 2:
-                return Segment.from_samples(data[:, 0], data[:, 1])
-            if data.shape[1] == 3:
-                return Segment.from_samples(data[:, 0], data[:, 1], data[:, 2])
-            raise ConfigError("sampled segment file needs 2 or 3 columns")
-        return self._perturbed(
-            Segment.quasi_stationary(speed + self.speed_offset, self.offset)
-        )
+            if data.shape[1] not in (2, 3):
+                raise ConfigError("sampled segment file needs 2 or 3 columns")
+            return Segment.from_samples(*data.T)
+        return self._perturbed(Segment.quasi_stationary(speed + self.speed_offset, self.offset))
 
-    def _perturbed(self, seg: Segment) -> Segment:
-        if self.amplitude == 0.0:
-            return seg
+    def _perturbed(self, base: Segment) -> Segment:
         amp = self.amplitude
-        base = seg
+        if amp == 0.0:
+            return base
 
         def position(s):
             return base(s)[..., 0] + amp * np.sin(math.pi * np.asarray(s))
@@ -151,9 +155,7 @@ class ExperimentConfig:
         def velocity(s):
             return base(s)[..., 1] + amp * math.pi * np.cos(math.pi * np.asarray(s))
 
-        desc = dict(base.description)
-        desc["amplitude"] = amp
-        return Segment(position, velocity, desc)
+        return Segment(position, velocity, {**base.description, "amplitude": amp})
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -162,14 +164,10 @@ class ExperimentConfig:
 def _parse_entry(section: str, key: str, raw: str) -> dict:
     raw = raw.strip().strip('"')
     try:
-        if (section, key) == ("ovf", "kind"):
-            return {"ovf_kind": raw}
-        if (section, key) == ("run", "branch"):
+        if key == "branch":
             return {"branch": int(raw)}
-        if (section, key) == ("run", "segment"):
-            return {"segment": raw}
-        if (section, key) == ("run", "samples"):
-            return {"samples": raw}
+        if key in ("segment", "samples"):
+            return {key: raw}
         if section == "tolerances":
             return {"tol_rel" if key == "rel" else "tol_abs": float(raw)}
         return {key: float(raw)}

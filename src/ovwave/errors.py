@@ -7,6 +7,9 @@ disagreements with 4.
 
 import math
 
+# the most rows a sampled series may have: bounds ``dt`` from below
+MAX_SAMPLES = 1e7
+
 
 class OvwaveError(Exception):
     """Base class for every error raised by this package."""

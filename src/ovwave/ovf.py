@@ -36,10 +36,10 @@ _EPS = float(np.finfo(float).eps)
 class OvfSpec:
     """An optimal velocity function with derivatives and metadata.
 
-    The callables must accept scalars and numpy arrays.  ``deriv2`` is the
-    right-limit value at ``s = d_s`` (the second derivative may jump there)
-    and zero below the safety distance.  Instances are immutable; all
-    operations on them are pure.
+    The callables must accept scalars and numpy arrays.  ``deriv`` and
+    ``deriv2`` are the right-limit values at ``s = d_s`` (the derivatives
+    may jump there) and zero below the safety distance.  Instances are
+    immutable; all operations on them are pure.
 
     Attributes
     ----------

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from ._rk import RkDriver, dense_output, quartic
-from .errors import DomainError, ParameterError, check_finite
+from .errors import MAX_SAMPLES, DomainError, ParameterError, check_finite
 from .ovf import OvfSpec
 
 __all__ = [
@@ -371,9 +371,11 @@ def _write_csv(path, header: str, columns) -> None:
 
 
 def trajectory_to_csv(traj: Trajectory, path, dt: float) -> None:
-    """Write t, z, dz rows sampled every ``dt`` over the full domain."""
+    """Write t, z, dz rows sampled every ``dt`` over the full domain (``MAX_SAMPLES`` at most)."""
     dt = check_finite("dt", dt, positive=True)
     lo, hi = traj.domain
+    if (hi - lo) / dt > MAX_SAMPLES:
+        raise ParameterError(f"dt={dt} gives over {MAX_SAMPLES:.0e} rows on [{lo}, {hi}]")
     n = int(math.floor((hi - lo) / dt + 1e-9))
     ts = lo + dt * np.arange(n + 1)
     _write_csv(path, "t,z,dz", [_column(ts), *map(_column, traj(ts).T)])

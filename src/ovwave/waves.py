@@ -128,9 +128,9 @@ def critical_pair(spec: OvfSpec) -> CriticalPair:
     secant steps run inside the bracket ``[b, 2 v_max b/V(b)]``; a spec whose
     ``v_max`` understates ``V`` can leave the tangency outside it and raises
     :class:`BracketError` (exit 2).
-    ``h_hat`` (the upper end of branch 1) is probed as the limit of
-    ``c/V(c)`` for c just above the safety distance and reported as infinity
-    when the probes keep growing past any plateau.
+    ``h_hat`` (the upper end of branch 1) is the limit of ``c/V(c)`` as
+    ``c`` falls to ``d_s``: ``d_s/V(d_s)`` where ``V(d_s) > 0``, else
+    ``1/V'(0)`` where ``d_s = 0`` and ``V'(0) > 0``, else infinity.
     """
 
     def ratio(c):
@@ -147,15 +147,9 @@ def critical_pair(spec: OvfSpec) -> CriticalPair:
     if abs(h_star * float(spec.deriv(c_star)) - 1.0) > _DEGENERACY_TOL:
         raise NumericalError("tangency refinement failed")
 
-    probes = []
-    for k in range(2, 11):
-        c = spec.d_s + 10.0 ** (-k)
-        v = float(spec.eval(c))
-        probes.append(c / v if v > 0.0 else math.inf)
-    if probes[-1] > 1e12 or probes[-1] > probes[-2] * (1.0 + 1e-9):
-        h_hat = math.inf
-    else:
-        h_hat = probes[-1]
+    v_ds, vp_ds = float(spec.eval(spec.d_s)), float(spec.deriv(spec.d_s))
+    h_hat = (spec.d_s / v_ds if v_ds > 0.0
+             else 1.0 / vp_ds if spec.d_s == 0.0 and vp_ds > 0.0 else math.inf)
     return CriticalPair(c_star=float(c_star), h_star=float(h_star), h_hat=float(h_hat))
 
 

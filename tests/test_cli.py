@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import runpy
@@ -16,7 +17,6 @@ from ovwave.config import ExperimentConfig
 
 CONFIG_TEXT = """\
 [ovf]
-kind = vq
 v_max = 100.0
 d_s = 0.0
 
@@ -73,6 +73,35 @@ def test_config_rejects_bad_values(tmp_path):
 def test_config_validates_on_construction(bad):
     with pytest.raises(ow.ConfigError):
         ExperimentConfig(**bad)
+
+
+def test_config_has_no_ovf_kind(tmp_path):
+    # the rational family is the only one a config builds
+    path = tmp_path / "kind.ini"
+    path.write_text("[ovf]\nkind = vq\n")
+    with pytest.raises(ow.ConfigError):
+        ExperimentConfig.from_file(path)
+    assert "ovf_kind" not in ExperimentConfig().as_dict()
+
+
+@pytest.mark.parametrize("text", [
+    "[run]\nslope = -1.0\n",
+    "[run]\nsegment = constant\n[perturbation]\nspeed_offset = -0.005\n",
+    "[run]\nsegment = affine\nslope = -1.0\n[perturbation]\nspeed_offset = -0.005\n",
+    "[run]\nsegment = constant\n[perturbation]\namplitude = 0.1\n",
+    "[run]\nsegment = sampled\nsamples = h.csv\n[perturbation]\namplitude = 0.1\n",
+    "[run]\nsegment = sampled\nsamples = h.csv\noffset = 1.0\n",
+    "[run]\nsegment = constant\nsamples = h.csv\n",
+])
+def test_history_value_the_segment_ignores_exits_config(tmp_path, text):
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    with pytest.raises(ow.ConfigError, match="does not read"):
+        ExperimentConfig.from_file(config)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("samples_text", [
@@ -321,46 +350,151 @@ def test_measure_oscillation_on_settled_run(vq2841):
     assert osc["n_amplitudes"] > 5
 
 
+# a small run of each command off the wavefront speed (from base.ini, where
+# a command reads it), so that the tolerances move the step mesh
+_BASE = {
+    "branches": ["--h-min", "0.1", "--h-max", "0.3", "--samples", "3"],
+    "sweep": ["--h-min", "0.1", "--h-max", "0.3", "--samples", "3"],
+    "classify": [],
+    "simulate": ["--t-end", "3", "--dt", "0.5"],
+    "perturb": ["--t-end", "3", "--dt", "0.5"],
+    "lattice": ["--t-end", "3", "--j-min", "-2", "--j-max", "0", "--n-times", "3"],
+    "example": ["1", "--t-end", "2"],
+    "stability-region": ["--boundary-n", "5", "--grid-n", "3"],
+}
+# a second valid value of every flag; the last of repeated flags wins
+_SECOND = {
+    "--v-max": ["90"], "--d-s": ["0.01"], "--h": ["0.25"], "--branch": ["2"],
+    "--c": ["1.5"], "--t-end": ["1.5"], "--tol-rel": ["1e-6"], "--tol-abs": ["1e-8"],
+    "--dt": ["0.25"], "--h-min": ["0.15"], "--h-max": ["0.35"], "--samples": ["4"],
+    "--j-min": ["-3"], "--j-max": ["-1"], "--t-max": ["0.1"], "--n-times": ["4"],
+    "--headways": [], "--boundary-n": ["6"], "--grid-n": ["4"],
+}
+
+
+def _subparsers():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _flags(command):
+    """The flags of one subcommand, as ``build_parser`` defines them."""
+    return [a.option_strings[0] for a in _subparsers()[command]._actions
+            if a.option_strings and a.dest not in ("help", "out")]
+
+
+def _outcome(argv, out, capsys):
+    """Exit code, stdout and the bytes of every file a run writes."""
+    out.mkdir()
+    try:
+        rc = main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command", list(_subparsers()))
+def test_every_flag_changes_the_run(command, tmp_path, capsys):
+    # a flag the handler never reads would leave all three unchanged
+    (tmp_path / "base.ini").write_text("[perturbation]\nspeed_offset = -0.005\n")
+    (tmp_path / "second.ini").write_text("[ovf]\nv_max = 90\n"
+                                         "[perturbation]\nspeed_offset = -0.005\n")
+    flags = _flags(command)
+    base = [command, *_BASE[command]]
+    if "--config" in flags:
+        base += ["--config", str(tmp_path / "base.ini")]
+    expected = _outcome(base, tmp_path / "base", capsys)
+    assert expected[0] == 0
+    for flag in flags:
+        second = [str(tmp_path / "second.ini")] if flag == "--config" else _SECOND[flag]
+        assert _outcome(base + [flag, *second], tmp_path / flag, capsys) != expected, flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["branches", "--h-min", "0.1", "--h-max", "0.3", "--h", "0.3"],
+    ["sweep", "--h-min", "0.1", "--h-max", "0.3", "--t-end", "5"],
+    ["classify", "--c", "1"],
+    ["lattice", "--dt", "0.1"],
+    ["simulate", "--t-e", "2"],  # no flag may be abbreviated
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["perturb"], ["example", "1"]])
+@pytest.mark.parametrize("dt", ["5e-324", "1e-300", "1e-12"])
+def test_sample_count_is_bounded(tmp_path, command, dt):
+    assert main(command + ["--t-end", "1", "--dt", dt, "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def _flag(name, strategy):
     """An optional ``--name=value`` flag, or nothing."""
     return st.one_of(st.just([]), strategy.map(lambda v: [f"{name}={v!r}"]))
 
 
 def _spoiler(*bad):
-    """Nothing, or one of the given invalid flags."""
-    return st.one_of(st.just([]), st.sampled_from(bad).map(lambda flag: [flag]))
+    """One of the given invalid flags in one example of four, else nothing."""
+    return st.tuples(st.integers(0, 3), st.sampled_from(bad)).map(
+        lambda r: [r[1]] if r[0] == 3 else [])
 
 
 # mostly valid values, so that runs get past validation; a trailing invalid
 # flag overrides its valid twin in some examples
-_MODEL_FLAGS = st.tuples(
-    _flag("--v-max", st.floats(0.5, 150.0)),
-    _flag("--d-s", st.floats(0.0, 2.0)),
-    _flag("--h", st.floats(0.05, 3.0)),
-    _flag("--branch", st.sampled_from([1, 2])),
-    _flag("--c", st.floats(0.01, 50.0)),
-    _flag("--t-end", st.floats(0.5, 6.0)),
-    _spoiler("--v-max=-1", "--d-s=-0.1", "--h=0", "--branch=3", "--t-end=0", "--c=-2"),
-).map(lambda parts: sum(parts, []))
+_MODEL_VALUES = {
+    "--v-max": (st.floats(0.5, 150.0), "-1"),
+    "--d-s": (st.floats(0.0, 2.0), "-0.1"),
+    "--h": (st.floats(0.05, 3.0), "0"),
+    "--branch": (st.sampled_from([1, 2]), "3"),
+    "--c": (st.floats(0.01, 50.0), "-2"),
+    "--t-end": (st.floats(0.5, 6.0), "0"),
+}
+_INTEGRATED = ("--v-max", "--d-s", "--h", "--branch", "--c", "--t-end")
+_H_SPOILERS = ("--samples=1", "--samples=-1", "--h-max=0.001")
 
-_H_RANGE = st.tuples(
-    st.floats(0.01, 3.0), st.floats(0.05, 2.0), st.integers(2, 8),
-    _spoiler("--samples=1", "--samples=-1", "--h-max=0.001"),
-).map(lambda r: [f"--h-min={r[0]!r}", f"--h-max={r[0] + r[1]!r}", f"--samples={r[2]}"]
-      + r[3])
 
-_CARS = st.tuples(
-    st.integers(-8, 0), st.integers(0, 4), st.integers(1, 12), st.booleans(),
-    _spoiler("--n-times=0", "--j-max=-20", "--j-min=3"),
-).map(lambda r: [f"--j-min={r[0]}", f"--j-max={r[0] + r[1]}", f"--n-times={r[2]}"]
-      + (["--headways"] if r[3] else []) + r[4])
+def _model_flags(*names):
+    return st.tuples(*(_flag(name, _MODEL_VALUES[name][0]) for name in names)).map(
+        lambda parts: sum(parts, []))
+
+
+def _command(name, *groups, spoilers=()):
+    """``name``, the flags drawn by each group, then at most one invalid flag."""
+    return st.tuples(*groups, _spoiler(*spoilers)).map(lambda g: [name] + sum(g, []))
+
+
+def _model_command(name, names, *groups, spoilers=()):
+    return _command(name, _model_flags(*names), *groups, spoilers=spoilers + tuple(
+        f"{n}={_MODEL_VALUES[n][1]}" for n in names))
+
+
+_H_RANGE = st.tuples(st.floats(0.01, 3.0), st.floats(0.05, 2.0), st.integers(2, 8)).map(
+    lambda r: [f"--h-min={r[0]!r}", f"--h-max={r[0] + r[1]!r}", f"--samples={r[2]}"])
+
+# car j samples the profile at -t/h - j, so a car j > 0 would need history
+# before -1
+_CARS = st.tuples(st.integers(-8, 0), st.integers(0, 4), st.integers(1, 12), st.booleans()).map(
+    lambda r: [f"--j-min={r[0]}", f"--j-max={min(r[0] + r[1], 0)}", f"--n-times={r[2]}"]
+    + (["--headways"] if r[3] else []))
 
 _ARGV = st.one_of(
-    st.tuples(st.sampled_from(["simulate", "perturb", "classify"]), _MODEL_FLAGS)
-    .map(lambda a: [a[0]] + a[1]),
-    st.tuples(_MODEL_FLAGS, _CARS).map(lambda a: ["lattice"] + a[0] + a[1]),
-    st.tuples(st.sampled_from(["branches", "sweep"]), _MODEL_FLAGS, _H_RANGE)
-    .map(lambda a: [a[0]] + a[1] + a[2]),
+    _model_command("lattice", _INTEGRATED, _CARS,
+                   spoilers=("--n-times=0", "--j-max=-20", "--j-min=3")),
+    _model_command("simulate", _INTEGRATED),
+    _model_command("perturb", _INTEGRATED),
+    _model_command("classify", ("--v-max", "--d-s", "--h", "--branch")),
+    _model_command("branches", ("--v-max", "--d-s"), _H_RANGE, spoilers=_H_SPOILERS),
+    _model_command("sweep", ("--v-max", "--d-s"), _H_RANGE, spoilers=_H_SPOILERS),
+    # example 2 runs to t = 200 by default, so every example gets a t_end
+    _command("example", st.sampled_from(["1", "2", "3"]).map(lambda n: [n]),
+             _MODEL_VALUES["--t-end"][0].map(lambda t: [f"--t-end={t!r}"]),
+             _flag("--dt", st.floats(0.05, 1.0)), spoilers=("--t-end=0", "--dt=-1")),
+    _command("stability-region", _flag("--boundary-n", st.integers(2, 20)),
+             _flag("--grid-n", st.integers(1, 8)),
+             spoilers=("--boundary-n=1", "--grid-n=0")),
 )
 
 

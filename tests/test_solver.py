@@ -393,7 +393,8 @@ def test_trajectory_csv_is_byte_identical_to_per_row_format(tmp_path, vq100):
     assert out.read_bytes() == "\n".join(["t,z,dz", *rows]).encode() + b"\n"
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.5, math.inf, math.nan])
+# 5e-324 and 1e-12 would ask for more than MAX_SAMPLES rows
+@pytest.mark.parametrize("dt", [0.0, -0.5, math.inf, math.nan, 5e-324, 1e-12])
 def test_trajectory_csv_rejects_bad_dt(tmp_path, vq100, dt):
     traj = ow.integrate(vq100, 0.2, ow.Segment.constant(1.0), 2.0)
     with pytest.raises(ow.ParameterError):

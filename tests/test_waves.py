@@ -76,6 +76,38 @@ def test_critical_pair_residuals_with_safety_distance(vq_half):
     assert cp.h_hat == math.inf  # positive safety distance always diverges
 
 
+def _bando():
+    """Bando's ``V = 2 (tanh(s - 2) + tanh 2)`` for ``s >= 0``: ``V'(0) > 0``."""
+    t2 = math.tanh(2.0)
+
+    def gap(s):
+        return np.maximum(np.asarray(s, dtype=float), 0.0)
+
+    def beyond(s, values):
+        return np.where(np.asarray(s) < 0.0, 0.0, values)
+
+    return ow.OvfSpec(
+        v_max=2.0 * (1.0 + t2), d_s=0.0, b=2.0,
+        eval=lambda s: 2.0 * (np.tanh(gap(s) - 2.0) + t2),
+        deriv=lambda s: beyond(s, 2.0 / np.cosh(gap(s) - 2.0) ** 2),
+        deriv2=lambda s: beyond(s, -4.0 * np.tanh(gap(s) - 2.0) / np.cosh(gap(s) - 2.0) ** 2),
+    )
+
+
+def test_h_hat_is_the_limit_of_c_over_v(vq100, vq_half):
+    # c/V(c) -> 1/V'(0) = cosh(2)^2 / 2 as c -> 0+, where branch 1 ends
+    spec = _bando()
+    h_hat = ow.critical_pair(spec).h_hat
+    exact = math.cosh(2.0) ** 2 / 2.0
+    assert abs(h_hat - exact) <= 2.0 * math.ulp(exact)
+    assert ow.branch_eval(spec, h_hat, 1) is None
+    point = ow.branch_eval(spec, 0.99 * h_hat, 1)
+    assert point.branch == ow.BRANCH1 and 0.0 < point.c < ow.critical_pair(spec).c_star
+    # V and V' both vanish at d_s in these families, so branch 1 never ends
+    for other in (vq100, vq_half, gaussian_ovf(1.0, 0.0), gaussian_ovf(2.841, 0.5)):
+        assert ow.critical_pair(other).h_hat == math.inf
+
+
 def test_branch_eval_reference_points(vq100, vq2841):
     p1 = ow.branch_eval(vq100, 0.2, 1)
     p2 = ow.branch_eval(vq100, 0.2, 2)
