@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import (
+    MAX_SAMPLES,
     ConfigError,
     ConsistencyError,
     DomainError,
@@ -213,9 +214,15 @@ def run_perturbed(cfg: ExperimentConfig, out_dir) -> dict:
     return record
 
 
+def _check_count(name: str, count: int, cells: int = 1) -> None:
+    """A count from the command line sizes arrays: at least 1, ``cells`` times it <= 1e7."""
+    if not (count >= 1 and count * cells <= MAX_SAMPLES):
+        raise ParameterError(f"{name}={count}: need {name} >= 1 and {cells} x {name} <= 1e7")
+
+
 def _branch_table(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
                   above_onset: bool = False):
-    """Both branch points on an evenly spaced h grid.
+    """Both branch points on an evenly spaced h grid of 2 to ``MAX_SAMPLES`` points.
 
     Returns ``(spec, cp, header, rows)``: the OVF, its critical pair, the
     ``# c_star=...`` first line of the CSV, and one ``(h, p1, p2)`` row per
@@ -224,7 +231,7 @@ def _branch_table(cfg: ExperimentConfig, h_lo: float, h_hi: float, samples: int,
     """
     spec = cfg.build_ovf()
     cp = critical_pair(spec)
-    if not (-math.inf < h_lo < h_hi < math.inf) or samples < 2:
+    if not (-math.inf < h_lo < h_hi < math.inf) or not 2 <= samples <= MAX_SAMPLES:
         raise ParameterError(f"invalid h range ({h_lo}, {h_hi}, {samples} samples)")
     if above_onset and h_lo <= cp.h_star:
         raise DomainError(
@@ -296,8 +303,8 @@ def _cmd_branches(args) -> None:
 
 
 def _cmd_stability_region(args) -> None:
-    if args.grid_n < 1:
-        raise ParameterError(f"grid_n must be at least 1, got {args.grid_n}")
+    _check_count("grid_n", args.grid_n, args.grid_n)
+    _check_count("boundary_n", args.boundary_n, 3)  # three curves
     out = Path(args.out)
     curves, *numbers = zip(*region_boundary_samples(args.boundary_n))
     _write_csv(out / "region_boundary.csv", "curve,param,alpha,beta",
@@ -336,8 +343,7 @@ def _cmd_perturb(args) -> None:
 
 
 def _cmd_lattice(args) -> None:
-    if args.n_times < 1:
-        raise ParameterError(f"n_times must be at least 1, got {args.n_times}")
+    _check_count("n_times", args.n_times, args.j_max - args.j_min + 2)  # the cars and leader
     cfg = _load_config(args)
     _, _, traj = _integrate_config(cfg)
     t_max = check_finite("t_max", args.t_max if args.t_max is not None else cfg.h)

@@ -28,7 +28,9 @@ them: the roots of D right of a vertical line, counted from the phase of D
 along it (Stepan's formula) and proven by a bound on ``|D'|``, must be the
 roots found there, an m-fold root counting m times; the line passes through
 the widest root-free gap left of the requested real part, and roots may
-coincide only where D' vanishes to rounding level.
+coincide only where D' vanishes to rounding level.  The certificate also
+picks the size: N + 1 nodes for N = 8, 16, 32, 64 in turn, until one passes
+(a sweep needs 8); for alpha in [-20, 0], only beta above 5,600 fails at 64.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ UNDETERMINED = "undetermined"
 _BETA_AXIS_TOP = math.pi * math.pi / 2.0
 _BOUNDARY_TOL = 1e-9
 _CHI_RESIDUAL_TOL = 1e-10
-_CHEB_NODES = 24
+_CHEB_NODES = (8, 16, 32, 64)  # collocation sizes N (N + 1 nodes), tried in turn
 _MULTIPLE_DP = 1e-12  # |D'| at a multiple root, relative to 1 + beta
 
 
@@ -315,11 +317,11 @@ def _collocation_generator(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * diff, 0.5 * np.linalg.solve(chebvander(x, n).T, moments)
 
 
-_GENERATOR, _WEIGHTS = _collocation_generator(_CHEB_NODES)
+_COLLOCATION = {n: _collocation_generator(n) for n in _CHEB_NODES}
 
 
-def _eigen_roots(alpha: float, beta: float, lo: float) -> list[complex]:
-    """Roots of D with ``Re >= lo``, from the eigenvalues of the generator.
+def _eigen_roots(alpha: float, beta: float, lo: float, n: int) -> list[complex]:
+    """Roots of D with ``Re >= lo``, from the eigenvalues of the generator on n + 1 nodes.
 
     Only the eigenvalues with ``Im >= 0`` and ``Re > lo - 1``, one to three
     in a sweep, are polished by Newton steps on D in scalar arithmetic; the
@@ -329,8 +331,8 @@ def _eigen_roots(alpha: float, beta: float, lo: float) -> list[complex]:
     from it; the mean of the m eigenvalues, polished by ``z - m D/D'``,
     replaces all m iterates once ``|D'|`` is at rounding level.
     """
-    gen = _GENERATOR.copy()
-    gen[0] = -beta * _WEIGHTS
+    gen = _COLLOCATION[n][0].copy()
+    gen[0] = -beta * _COLLOCATION[n][1]
     gen[0, 0] -= alpha
     lam = np.linalg.eigvals(gen)
     found = []  # (root, eigenvalue it was polished from)
@@ -372,7 +374,8 @@ def rightmost_roots(params: StabilityParams, sigma: float = -0.5) -> list[comple
     The ever-present zero root is handled by deflation so it cannot
     contaminate counts of nearby roots; it is reported whenever
     ``sigma < 0``.  The roots, polished by scalar Newton steps, must match
-    the proven phase count of :func:`_half_plane_count`.  Each returned root
+    the proven phase count of :func:`_half_plane_count`, at the first size
+    of ``_CHEB_NODES`` where they do.  Each returned root
     satisfies ``|chi(root)| <= 1e-10`` and non-real roots come in conjugate
     pairs.  Roots are sorted by descending real part.
 
@@ -382,30 +385,36 @@ def rightmost_roots(params: StabilityParams, sigma: float = -0.5) -> list[comple
         For ``sigma`` below -2, where the collocation no longer resolves
         every root, or not a number.
     RootFinderError
-        When located roots cannot be reconciled with the phase count.
+        When located roots cannot be reconciled with the phase count at any
+        size (for alpha in [-20, 0], only above beta = 5,600).
     """
     if not -2.0 <= sigma < math.inf:
         raise ParameterError(f"sigma must be a number in [-2, inf), got {sigma}")
     alpha, beta = params.alpha, params.beta
-    roots = _eigen_roots(alpha, beta, sigma - 0.5)
-    # count on the line through the widest root-free gap of [sigma - 0.5, sigma]
-    edges = sorted([sigma - 0.5, sigma] + [z.real for z in roots if z.real < sigma])
-    left, right = max(zip(edges, edges[1:]), key=lambda e: e[1] - e[0])
-    line = 0.5 * (left + right)
-    roots = [z for z in roots if z.real > line]
-    count = _half_plane_count(alpha, beta, line)
-    if len(roots) != count:
-        raise RootFinderError(
-            f"located {len(roots)} roots right of Re z = {line} but the phase count is {count}"
-        )
-    # two eigenvalues polished onto one simple root would hide a missed root
-    for z in roots:
-        if sum(abs(z - y) <= 1e-9 for y in roots) > 1 \
-                and abs(_d(alpha, beta, z)[1]) > _MULTIPLE_DP * (1 + beta):
-            raise RootFinderError("two eigenvalues were polished onto the same simple root")
-    resid = [abs(char_eval(params, z)) for z in roots]
-    if resid and max(resid) > _CHI_RESIDUAL_TOL:
-        raise RootFinderError(f"roots {roots} have characteristic residuals {resid}")
+    counts = {}  # the phase count of each counting line, proven once
+    for n in _CHEB_NODES:
+        roots = _eigen_roots(alpha, beta, sigma - 0.5, n)
+        # count on the line through the widest root-free gap of [sigma - 0.5, sigma]
+        edges = sorted([sigma - 0.5, sigma] + [z.real for z in roots if z.real < sigma])
+        left, right = max(zip(edges, edges[1:]), key=lambda e: e[1] - e[0])
+        line = 0.5 * (left + right)
+        roots = [z for z in roots if z.real > line]
+        if line not in counts:
+            counts[line] = _half_plane_count(alpha, beta, line)
+        resid = [abs(char_eval(params, z)) for z in roots]
+        if len(roots) != counts[line]:
+            problem = (f"located {len(roots)} roots right of Re z = {line} "
+                       f"but the phase count is {counts[line]}")
+        # two eigenvalues polished onto one simple root would hide a missed root
+        elif any(sum(abs(z - y) <= 1e-9 for y in roots) > 1
+                 and abs(_d(alpha, beta, z)[1]) > _MULTIPLE_DP * (1 + beta) for z in roots):
+            problem = "two eigenvalues were polished onto the same simple root"
+        elif resid and max(resid) > _CHI_RESIDUAL_TOL:
+            problem = f"roots {roots} have characteristic residuals {resid}"
+        else:
+            break
+    else:
+        raise RootFinderError(f"{problem} at collocation size {n}")
 
     # a multiple root is reported once; a root of D at zero is the zero root
     final = [z for z in set(roots) if abs(z) > 1e-9 and z.real > sigma]

@@ -305,6 +305,20 @@ def test_bad_counts_and_ranges_exit_config(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    # each one sample over MAX_SAMPLES = 1e7; the default cars -5..0 and the
+    # leader make 7 lattice columns, and the boundary file has three curves
+    ["lattice", "--v-max", "100", "--h", "0.2", "--branch", "1", "--n-times", "1428572"],
+    ["stability-region", "--grid-n", "3163"],
+    ["stability-region", "--boundary-n", "3333334"],
+    ["branches", "--v-max", "100", "--h-min", "0.1", "--h-max", "0.3", "--samples", "10000001"],
+    ["sweep", "--v-max", "2.841", "--h-min", "0.9", "--h-max", "1.8", "--samples", "10000001"],
+])
+def test_counts_over_max_samples_exit_config(tmp_path, args):
+    assert main(args + ["--out", str(tmp_path)]) == 2  # before anything is allocated
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_below_onset_exits_config(tmp_path, capsys):
     rc = main([
         "sweep", "--v-max", "2.841", "--d-s", "0",

@@ -410,24 +410,91 @@ def test_roots_match_pinned_values(alpha, beta, sigma, pinned):
         assert abs(z - ref) <= 1e-13 * abs(ref), (z, ref)
 
 
-def test_simple_root_polished_twice_fails_the_certificate(monkeypatch):
+@pytest.fixture()
+def track_sizes(monkeypatch):
+    """Wrap ``_eigen_roots`` so that it records each collocation size tried and
+    passes its roots through ``alter(roots, n)``; returns the record."""
     found = stability._eigen_roots
 
-    def one_root_twice(*args):
-        roots = found(*args)
+    def install(alter=lambda roots, n: roots):
+        sizes = []
+
+        def recorded(alpha, beta, lo, n):
+            sizes.append(n)
+            return alter(found(alpha, beta, lo, n), n)
+
+        monkeypatch.setattr(stability, "_eigen_roots", recorded)
+        return sizes
+
+    return install
+
+
+def test_simple_root_polished_twice_fails_the_certificate(track_sizes):
+    def one_root_twice(roots, n):
         roots[1] = roots[0]
         return roots
 
-    monkeypatch.setattr(stability, "_eigen_roots", one_root_twice)
-    with pytest.raises(ow.RootFinderError):
+    sizes = track_sizes(one_root_twice)
+    with pytest.raises(ow.RootFinderError, match="same simple root at collocation size 64"):
         ow.rightmost_roots(P(-1.5, 2.8245))
+    assert sizes == list(stability._CHEB_NODES)
 
 
-def test_dropped_eigenvalue_root_fails_the_certificate(monkeypatch):
-    found = stability._eigen_roots
-    monkeypatch.setattr(stability, "_eigen_roots", lambda *args: found(*args)[1:])
-    with pytest.raises(ow.RootFinderError):
+def test_dropped_eigenvalue_root_fails_the_certificate(track_sizes):
+    sizes = track_sizes(lambda roots, n: roots[1:])
+    with pytest.raises(ow.RootFinderError, match="phase count is 2 at collocation size 64"):
         ow.rightmost_roots(P(-1.5, 2.8245))
+    assert sizes == list(stability._CHEB_NODES)
+
+
+def test_a_root_missed_at_the_first_size_comes_from_the_next(track_sizes):
+    alpha, beta, sigma, pinned = _PINNED_ROOTS[2]
+    sizes = track_sizes(lambda roots, n: roots[1:] if n == 8 else roots)
+    roots = ow.rightmost_roots(P(alpha, beta), sigma)
+    assert sizes == [8, 16]
+    assert len(roots) == len(pinned)
+    for z, ref in zip(roots, pinned):
+        assert abs(z - ref) <= 1e-13 * abs(ref), (z, ref)
+
+
+def test_the_sweep_family_settles_at_the_first_size(vq2841, track_sizes):
+    # both branches on the benchmark's h grid: a change that needs more
+    # nodes there would multiply the cost of a sweep
+    sizes, cp = track_sizes(), ow.critical_pair(vq2841)
+    for h in np.linspace(1.02 * cp.h_star, 1.8, 30).tolist():
+        for branch in (1, 2):
+            ow.classify_wavefront(vq2841, ow.branch_eval(vq2841, h, branch))
+    assert sizes == [8] * 60
+
+
+# points of ROADMAP item 1's grid (and one it names) where 25 nodes miss roots
+_LARGE_BETA = [(-20.0, 1000.0), (-12.5, 1778.2794100389228), (-6.0, 2371.373705661655),
+               (-2.5, 3162.2776601683795), (0.0, 4216.965034285822), (-110.0, 2700.0)]
+
+
+@pytest.mark.parametrize("alpha, beta", _LARGE_BETA)
+def test_roots_at_large_beta_match_the_count(alpha, beta):
+    roots = ow.rightmost_roots(P(alpha, beta))  # those right of sigma = -0.5
+    nonzero = [z for z in roots if z != 0]  # D = chi/lambda has no root at 0 here
+    assert len(nonzero) == stability._half_plane_count(alpha, beta, -0.5) > 10
+    for z in roots:
+        assert abs(ow.char_eval(P(alpha, beta), z)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha, beta", _LARGE_BETA)
+def test_the_old_size_alone_misses_roots_at_large_beta(alpha, beta, monkeypatch):
+    monkeypatch.setattr(stability, "_CHEB_NODES", (24,))
+    monkeypatch.setitem(stability._COLLOCATION, 24, stability._collocation_generator(24))
+    with pytest.raises(ow.RootFinderError, match="phase count"):
+        ow.rightmost_roots(P(alpha, beta))
+
+
+def test_classify_resolves_the_large_beta_family(capsys):
+    # make_vq(0.5, 3) reaches beta = 2,685 on branch 1 at h = 110
+    rc = main(["classify", "--v-max", "0.5", "--d-s", "3", "--h", "110", "--branch", "1"])
+    assert rc == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["beta"] > 2000.0 and len(record["rightmost_roots"]) == 13
 
 
 # -- verdicts and crossings --------------------------------------------------------
